@@ -82,7 +82,16 @@ impl Scheduler {
 
     fn close_and_join(&mut self) {
         drop(self.tx.take());
+        // A job may hold the last reference to whatever owns the pool,
+        // so this can run on a worker. That worker cannot join itself
+        // ("Resource deadlock avoided"); its handle is dropped instead,
+        // and it exits on its own once the job returns to the closed
+        // queue.
+        let me = std::thread::current().id();
         for h in self.workers.drain(..) {
+            if h.thread().id() == me {
+                continue;
+            }
             // fuzzylint: allow(panic) — worker bodies catch job panics, so
             // a join failure is a harness bug worth surfacing loudly
             h.join().expect("analysis worker panicked");
@@ -132,6 +141,29 @@ mod tests {
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert_eq!(metrics.snapshot().session_errors, 1);
+    }
+
+    #[test]
+    fn dropping_the_last_reference_inside_a_job_does_not_self_join() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let metrics = Arc::new(Metrics::new());
+        let pool = Arc::new(Scheduler::new(2, 4, Arc::clone(&metrics)));
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let held = Arc::clone(&pool);
+        assert!(pool.submit(&metrics, move || {
+            go_rx.recv().unwrap();
+            // The last reference: Scheduler::drop runs on this worker.
+            drop(held);
+            done_tx.send(()).unwrap();
+        }));
+        drop(pool);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the job finished dropping the pool");
+        assert_eq!(metrics.snapshot().session_errors, 0);
     }
 
     #[test]
