@@ -364,3 +364,55 @@ fn shutdown_control_request_reaches_the_daemon() {
     assert!(server.shutdown_requested());
     server.shutdown();
 }
+
+/// A control frame of 150,000 nested `[` used to overflow the connection
+/// thread's stack and abort the whole daemon. The JSON parser's nesting
+/// limit turns it into an `Error` for that client, while a concurrent
+/// well-formed session carries on and reports exactly what it reports
+/// undisturbed.
+#[test]
+fn deeply_nested_control_frame_gets_an_error_not_an_abort() {
+    use fuzzyphase_serve::framing::{write_frame, FRAME_CONTROL};
+    use fuzzyphase_serve::protocol::read_msg;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let server = Server::start(tiny_server_cfg()).expect("start");
+    let addr = server.local_addr().to_string();
+    let trace = synth_trace(2_000);
+    let (undisturbed, _) = stream_and_report(&addr, "calm", &trace, 50, 0, 250);
+
+    // Open a well-formed session and stream half of it.
+    let mut calm = ServeClient::connect(&addr).expect("connect");
+    calm.hello("calm", 50, 0).expect("hello");
+    calm.stream_trace(&trace[..1_000], 250).expect("stream");
+
+    // The hostile peer.
+    let mut hostile = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut hostile, FRAME_CONTROL, &[b'['; 150_000]).expect("send");
+    let mut replies = BufReader::new(hostile);
+    let mut reply = read_msg(&mut replies).expect("a reply, not a dropped socket");
+    if matches!(reply, Some(ServerMsg::Welcome { .. })) {
+        reply = read_msg(&mut replies).expect("a reply, not a dropped socket");
+    }
+    match reply {
+        Some(ServerMsg::Error { message }) => {
+            assert!(message.contains("recursion limit"), "{message}")
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    // The daemon is still up: the session finishes bit-identically and
+    // new connections are accepted.
+    calm.stream_trace(&trace[1_000..], 250).expect("stream");
+    calm.finish().expect("finish");
+    let (report, _) = calm.wait_report().expect("report");
+    calm.close();
+    assert_eq!(report, undisturbed);
+    let mut probe = ServeClient::connect(&addr).expect("connect after the attack");
+    probe.send_control(&ClientControl::Ping).expect("ping");
+    assert!(matches!(probe.recv().expect("pong"), ServerMsg::Pong));
+    probe.close();
+    assert!(server.stats().session_errors >= 1);
+    server.shutdown();
+}
