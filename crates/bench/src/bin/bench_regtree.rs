@@ -7,8 +7,6 @@
 //!
 //! Times, on an EIPV-shaped dataset of ≥ 200 intervals:
 //!
-//! - `fit_rescan` — tree build with per-node re-gather + re-sort (the
-//!   pre-cache baseline),
 //! - `fit_scalar` — scalar oracle build: per-fit gather + global sort,
 //!   presorted split-entry cache partitioned per node,
 //! - `fit_columnar` — cold columnar build: bucket-and-sort the columnar
@@ -23,9 +21,6 @@
 //!   `Fitter::full` of each prefix (what the daemon did before D15),
 //! - `sse_scalar` / `sse_batch` — fold-partial SSE accumulation over the
 //!   full dataset, per-`k` scalar walk vs the batch kernel,
-//! - `cv_baseline` — 10-fold × k=50 cross-validation as the seed
-//!   implemented it: serial folds, re-sorting split search (the recorded
-//!   serial baseline),
 //! - `cv_serial` — current cross-validation on one thread (batch
 //!   kernels, serial folds),
 //! - `cv_parallel` — the same folds fanned across a worker pool,
@@ -35,7 +30,7 @@
 //!
 //! Every optimized stage is checked against its baseline for exact
 //! equality before timings are reported: the cached and columnar builds
-//! must produce the identical tree, the batch SSE partials must be
+//! must produce the scalar oracle's tree, the batch SSE partials must be
 //! bit-identical to the scalar walk, and the parallel curve must be
 //! bit-identical to the serial one.
 
@@ -43,9 +38,8 @@ use fuzzyphase_diff::{diff, DiffOptions};
 use fuzzyphase_profiler::{EipvData, Sample};
 use fuzzyphase_regtree::{
     eval_sse_batch, eval_sse_scalar, ColumnarDataset, CrossValidation, Dataset, FitDelta, Fitter,
-    TreeBuilder,
 };
-use fuzzyphase_stats::{seeded_rng, KFold, SparseVec};
+use fuzzyphase_stats::{seeded_rng, SparseVec};
 use rand::Rng;
 use serde::Serialize;
 use std::time::Instant;
@@ -77,16 +71,13 @@ struct Report {
     available_parallelism: Option<usize>,
     cv_workers: usize,
     stages: Vec<Stage>,
-    fit_speedup: f64,
-    /// Current CV (cached search, worker pool) vs the recorded serial
-    /// baseline (`cv_baseline`): the headline improvement.
-    cv_speedup_vs_baseline: f64,
     /// Fold-parallel CV vs current serial CV: the pool's contribution
     /// alone (≈ 1.0 on a single-core machine).
     cv_speedup_parallel: f64,
     /// Incremental streamed refits vs scratch refits of the same
     /// prefixes: the daemon's steady-state refit advantage.
     incremental_refit_speedup: f64,
+    /// `Fitter::full` produced the same tree as the scalar oracle.
     cached_tree_identical: bool,
     /// Batch columnar fit produced the same tree as the scalar oracle.
     columnar_tree_identical: bool,
@@ -100,33 +91,7 @@ struct Report {
     diff_report_byte_stable: bool,
 }
 
-/// The seed's cross-validation loop, reconstructed as the recorded
-/// baseline: serial folds, per-node re-sorting split search.
-fn cv_baseline(ds: &Dataset, cv: &CrossValidation) -> Vec<f64> {
-    let kf = KFold::new(ds.len(), cv.folds, cv.seed);
-    let builder = TreeBuilder::new()
-        .max_leaves(cv.k_max)
-        .min_leaf(cv.min_leaf);
-    let mut sum_sq_err = vec![0.0f64; cv.k_max];
-    for (train, test) in kf.splits() {
-        let tree = builder.fit_rescan(&ds.subset(&train));
-        for &t in test {
-            let y = ds.target(t);
-            let path = tree.path_means(ds.row(t));
-            let mut pi = 0;
-            for k in 1..=cv.k_max {
-                while pi + 1 < path.len() && (path[pi + 1].0 as usize) < k {
-                    pi += 1;
-                }
-                let err = y - path[pi].1;
-                sum_sq_err[k - 1] += err * err;
-            }
-        }
-    }
-    sum_sq_err
-}
-
-/// A realistic EIPV-shaped dataset (mirrors the criterion bench).
+/// A realistic EIPV-shaped dataset.
 fn eipv_dataset(n: usize, features: u32, nnz: usize, seed: u64) -> Dataset {
     let mut rng = seeded_rng(seed);
     let mut rows = Vec::with_capacity(n);
@@ -235,10 +200,8 @@ fn main() {
     let ds = eipv_dataset(intervals, features, nnz, 1);
     let reps = 7;
 
-    let builder = TreeBuilder::new();
     let fitter = Fitter::new();
-    let (fit_rescan_med, fit_rescan_min) = time_ms(reps, || builder.fit_rescan(&ds));
-    let (fit_scalar_med, fit_scalar_min) = time_ms(reps, || builder.fit_scalar(&ds));
+    let (fit_scalar_med, fit_scalar_min) = time_ms(reps, || fitter.fit_scalar(&ds));
     let (fit_columnar_med, fit_columnar_min) = time_ms(reps, || {
         fitter.full_on_columns(&ColumnarDataset::from_dataset(&ds))
     });
@@ -246,8 +209,8 @@ fn main() {
     // times the steady state `Fitter::full` actually runs at.
     let warm_tree = fitter.full(&ds);
     let (fit_cached_med, fit_cached_min) = time_ms(reps, || fitter.full(&ds));
-    let cached_tree_identical = fitter.full(&ds) == builder.fit_rescan(&ds);
-    let columnar_tree_identical = fitter.full_on_columns(ds.columnar()) == builder.fit_scalar(&ds);
+    let cached_tree_identical = fitter.full(&ds) == fitter.fit_scalar(&ds);
+    let columnar_tree_identical = fitter.full_on_columns(ds.columnar()) == fitter.fit_scalar(&ds);
 
     // The streamed-refit steady state: a phase-structured session of
     // `stream_intervals` frames, the first half absorbed in one
@@ -333,7 +296,6 @@ fn main() {
         workers,
         ..serial_cv
     };
-    let (cv_base_med, cv_base_min) = time_ms(reps, || cv_baseline(&ds, &serial_cv));
     let (cv_serial_med, cv_serial_min) = time_ms(reps, || serial_cv.run(&ds));
     let (cv_parallel_med, cv_parallel_min) = time_ms(reps, || parallel_cv.run(&ds));
     let (a, b) = (serial_cv.run(&ds), parallel_cv.run(&ds));
@@ -386,7 +348,6 @@ fn main() {
         available_parallelism,
         cv_workers: workers,
         stages: vec![
-            stage("fit_rescan", fit_rescan_med, fit_rescan_min),
             stage("fit_scalar", fit_scalar_med, fit_scalar_min),
             stage("fit_columnar", fit_columnar_med, fit_columnar_min),
             stage("fit_cached", fit_cached_med, fit_cached_min),
@@ -398,13 +359,10 @@ fn main() {
             ),
             stage("sse_scalar", sse_scalar_med, sse_scalar_min),
             stage("sse_batch", sse_batch_med, sse_batch_min),
-            stage("cv_baseline", cv_base_med, cv_base_min),
             stage("cv_serial", cv_serial_med, cv_serial_min),
             stage("cv_parallel", cv_parallel_med, cv_parallel_min),
             stage("diff_fit", diff_fit_med, diff_fit_min),
         ],
-        fit_speedup: fit_rescan_med / fit_cached_med,
-        cv_speedup_vs_baseline: cv_base_med / cv_parallel_med,
         cv_speedup_parallel: cv_serial_med / cv_parallel_med,
         incremental_refit_speedup: fit_stream_scratch_med / fit_incremental_med,
         cached_tree_identical,
@@ -417,7 +375,7 @@ fn main() {
 
     assert!(
         report.cached_tree_identical,
-        "split-entry cache changed the fitted tree"
+        "Fitter::full diverged from the scalar oracle"
     );
     assert!(
         report.parallel_curve_bit_identical,
@@ -451,12 +409,9 @@ fn main() {
         );
     }
     println!(
-        "fit speedup (cache):        {:.2}x  [tree identical: {}]",
-        report.fit_speedup, report.cached_tree_identical
-    );
-    println!(
-        "cv speedup vs baseline:     {:.2}x",
-        report.cv_speedup_vs_baseline
+        "fit speedup vs scalar:      {:.2}x  [tree identical: {}]",
+        fit_scalar_med / fit_cached_med,
+        report.cached_tree_identical
     );
     println!(
         "incremental refit speedup:  {:.2}x  [tree identical: {}]",

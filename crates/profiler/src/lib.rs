@@ -40,6 +40,6 @@ pub use export::{intervals_csv, load_profile, samples_csv, save_profile};
 pub use sampler::{overhead_fraction, SamplerSpec};
 pub use session::{IntervalStat, ProfileConfig, ProfileData, ProfileSession, Sample};
 pub use smp::SmpProfileSession;
-pub use trace::{load_trace, read_samples, save_trace, write_samples, write_samples_v2};
+pub use trace::{load_trace, read_samples, save_trace, write_samples_v2};
 
 pub use fuzzyphase_workload::Workload;

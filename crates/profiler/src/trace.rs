@@ -7,21 +7,22 @@
 //! convenient but large — a 250-interval ODB-C run is ~25 K samples and a
 //! SjAS run 250 K. This module provides the compact binary codec for the
 //! sample stream: delta-encoded EIPs (consecutive samples often hit nearby
-//! code), varint thread ids and `f32` CPIs.
+//! code), varint thread ids and `f64` CPIs.
 //!
-//! The frame is version-tagged. **v1** stores CPI as `f32` — compact, but
-//! round-trips only to ~1e-3, so analysis from a v1 archive matches a
-//! direct analysis approximately rather than exactly. **v2** stores CPI
+//! The frame is version-tagged. The writer emits **v2**, which stores CPI
 //! as `f64`: analysis from a v2 archive (or a v2 stream into the serve
-//! daemon) is bit-identical to analyzing the in-memory samples. Readers
-//! accept both versions, so old traces keep decoding.
+//! daemon) is bit-identical to analyzing the in-memory samples. The
+//! reader also accepts the original **v1** frames, which store CPI as
+//! `f32` (round-tripping only to ~1e-3), because the daemon still takes
+//! v1 frames from clients. Either way a NaN or infinite CPI is rejected
+//! at decode: no interval CPI can be non-finite, and one would poison
+//! every statistic downstream.
 //!
 //! ```
-//! use fuzzyphase_profiler::trace::{read_samples, write_samples, write_samples_v2};
+//! use fuzzyphase_profiler::trace::{read_samples, write_samples_v2};
 //! use fuzzyphase_profiler::Sample;
 //!
 //! let samples = vec![Sample { eip: 0x4000_1000, thread: 3, is_os: false, cpi: 2.25 }];
-//! assert_eq!(read_samples(&write_samples(&samples)).unwrap(), samples);
 //! assert_eq!(read_samples(&write_samples_v2(&samples)).unwrap(), samples);
 //! ```
 
@@ -31,7 +32,8 @@ use std::io;
 
 /// File magic ("FZPH").
 const MAGIC: u32 = 0x465A_5048;
-/// Codec version with `f32` CPIs (the original format).
+/// Codec version with `f32` CPIs (the original format; decoded, no
+/// longer written).
 const VERSION_V1: u32 = 1;
 /// Codec version with `f64` CPIs (exact round-trip).
 const VERSION_V2: u32 = 2;
@@ -91,24 +93,13 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes a sample stream into the compact v1 binary format (`f32`
-/// CPIs). Kept as the default writer for archive compatibility; use
-/// [`write_samples_v2`] when exact CPI round-trips matter.
-pub fn write_samples(samples: &[Sample]) -> Bytes {
-    write_samples_version(samples, VERSION_V1)
-}
-
 /// Encodes a sample stream into the v2 binary format (`f64` CPIs):
 /// decoding gives back bit-identical samples, so any analysis run on the
 /// decoded stream equals the analysis of the original samples exactly.
 pub fn write_samples_v2(samples: &[Sample]) -> Bytes {
-    write_samples_version(samples, VERSION_V2)
-}
-
-fn write_samples_version(samples: &[Sample], version: u32) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + samples.len() * 8);
     buf.put_u32(MAGIC);
-    buf.put_u32(version);
+    buf.put_u32(VERSION_V2);
     put_varint(&mut buf, samples.len() as u64);
     let mut prev_eip: u64 = 0;
     for s in samples {
@@ -116,23 +107,19 @@ fn write_samples_version(samples: &[Sample], version: u32) -> Bytes {
         prev_eip = s.eip;
         put_varint(&mut buf, s.thread as u64);
         buf.put_u8(u8::from(s.is_os));
-        if version == VERSION_V1 {
-            buf.put_f32(s.cpi as f32);
-        } else {
-            buf.put_f64(s.cpi);
-        }
+        buf.put_f64(s.cpi);
     }
     buf.freeze()
 }
 
-/// Decodes a sample stream written by [`write_samples`] (v1) or
-/// [`write_samples_v2`]; the version tag in the header selects the CPI
+/// Decodes a v2 sample stream written by [`write_samples_v2`], or a v1
+/// stream (`f32` CPIs); the version tag in the header selects the CPI
 /// width.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on bad magic/version or corrupt payloads, and
-/// `UnexpectedEof` when the buffer is truncated.
+/// Returns `InvalidData` on bad magic/version, a NaN or infinite CPI, or
+/// corrupt payloads, and `UnexpectedEof` when the buffer is truncated.
 pub fn read_samples(data: &[u8]) -> io::Result<Vec<Sample>> {
     let mut out = Vec::new();
     read_samples_into(data, &mut out)?;
@@ -195,6 +182,12 @@ pub fn read_samples_into(mut data: &[u8], out: &mut Vec<Sample>) -> io::Result<(
         } else {
             data.get_f64()
         };
+        if !cpi.is_finite() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("non-finite CPI {cpi}"),
+            ));
+        }
         out.push(Sample {
             eip,
             thread,
@@ -205,13 +198,14 @@ pub fn read_samples_into(mut data: &[u8], out: &mut Vec<Sample>) -> io::Result<(
     Ok(())
 }
 
-/// Writes a sample trace to disk.
+/// Writes a sample trace to disk in the v2 format, so a saved archive
+/// reproduces the analysis of the original samples bit for bit.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn save_trace(samples: &[Sample], path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    std::fs::write(path, write_samples(samples))
+    std::fs::write(path, write_samples_v2(samples))
 }
 
 /// Reads a sample trace from disk.
@@ -230,6 +224,25 @@ mod tests {
     use fuzzyphase_stats::seeded_rng;
     use rand::Rng;
 
+    /// A v1 frame (`f32` CPIs) with its header built by hand: nothing
+    /// writes v1 any more, but the daemon still accepts v1 frames, so
+    /// their decode stays pinned.
+    fn v1_frame(samples: &[Sample]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u32(MAGIC);
+        buf.put_u32(VERSION_V1);
+        put_varint(&mut buf, samples.len() as u64);
+        let mut prev_eip = 0u64;
+        for s in samples {
+            put_varint(&mut buf, zigzag(s.eip.wrapping_sub(prev_eip) as i64));
+            prev_eip = s.eip;
+            put_varint(&mut buf, s.thread as u64);
+            buf.put_u8(u8::from(s.is_os));
+            buf.put_f32(s.cpi as f32);
+        }
+        buf.freeze()
+    }
+
     fn random_samples(n: usize, seed: u64) -> Vec<Sample> {
         let mut rng = seeded_rng(seed);
         (0..n)
@@ -237,7 +250,7 @@ mod tests {
                 eip: 0x4000_0000 + rng.gen_range(0..100_000u64) * 16,
                 thread: rng.gen_range(0..20),
                 is_os: rng.gen_bool(0.1),
-                // Pre-rounded through f32: the codec stores CPI as f32.
+                // Pre-rounded through f32, so v1 frames round-trip too.
                 cpi: ((rng.gen_range(50..500) as f32) / 100.0) as f64,
             })
             .collect()
@@ -246,20 +259,20 @@ mod tests {
     #[test]
     fn roundtrip_exact() {
         let samples = random_samples(5000, 1);
-        let bytes = write_samples(&samples);
+        let bytes = write_samples_v2(&samples);
         assert_eq!(read_samples(&bytes).expect("decode"), samples);
     }
 
     #[test]
     fn empty_roundtrip() {
-        let bytes = write_samples(&[]);
+        let bytes = write_samples_v2(&[]);
         assert!(read_samples(&bytes).expect("decode").is_empty());
     }
 
     #[test]
     fn binary_is_much_smaller_than_json() {
         let samples = random_samples(10_000, 2);
-        let bin = write_samples(&samples).len();
+        let bin = write_samples_v2(&samples).len();
         let json = serde_json::to_string(&samples).expect("json").len();
         assert!(
             bin * 4 < json,
@@ -276,7 +289,7 @@ mod tests {
     #[test]
     fn rejects_truncation() {
         let samples = random_samples(100, 3);
-        let bytes = write_samples(&samples);
+        let bytes = v1_frame(&samples);
         let cut = &bytes[..bytes.len() - 3];
         assert!(read_samples(cut).is_err());
     }
@@ -324,7 +337,7 @@ mod tests {
     #[test]
     fn v1_frames_still_decode_alongside_v2() {
         let samples = random_samples(200, 9);
-        let v1 = write_samples(&samples);
+        let v1 = v1_frame(&samples);
         let v2 = write_samples_v2(&samples);
         assert_eq!(read_samples(&v1).expect("v1"), samples);
         assert_eq!(read_samples(&v2).expect("v2"), samples);
@@ -375,7 +388,20 @@ mod tests {
             is_os: false,
             cpi: 2.123_456_789,
         }];
-        let back = read_samples(&write_samples(&samples)).expect("decode");
+        let back = read_samples(&v1_frame(&samples)).expect("decode");
         assert!((back[0].cpi - 2.123_456_789).abs() < 1e-6);
+        assert_ne!(back[0].cpi, 2.123_456_789);
+    }
+
+    #[test]
+    fn rejects_non_finite_cpi_in_both_versions() {
+        for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut samples = random_samples(20, 11);
+            samples[7].cpi = cpi;
+            for frame in [v1_frame(&samples), write_samples_v2(&samples)] {
+                let err = read_samples(&frame).expect_err("non-finite CPI must not decode");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cpi}");
+            }
+        }
     }
 }

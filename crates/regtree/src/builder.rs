@@ -10,17 +10,21 @@
 //! a useful threshold, so the scan is O(non-zeros · log) per node rather
 //! than O(features · rows).
 //!
-//! On top of the sparse scan, [`TreeBuilder::fit`] keeps a presorted
-//! split-entry cache: the root's `(feature, value, row)` triples are
-//! sorted once, and each expansion stably partitions its node's triples
-//! into the two children. A stable partition of a sorted sequence is
-//! still sorted — and ties stay in node-row order, exactly as a fresh
-//! per-node sort would leave them — so every node's split search sees
-//! the same entry sequence the re-sorting implementation
-//! ([`TreeBuilder::fit_rescan`]) would build, at O(non-zeros) per
-//! expansion instead of O(non-zeros · log non-zeros).
+//! This module holds the scalar reference implementation of that
+//! algorithm, [`Fitter::fit_scalar`] — the one independent oracle the
+//! production growers in `kernel.rs` and [`crate::incremental`]
+//! are checked against (DESIGN.md D13). On top of the sparse scan it
+//! keeps a presorted split-entry cache: the root's `(feature, value,
+//! row)` triples are sorted once, and each expansion stably partitions
+//! its node's triples into the two children. A stable partition of a
+//! sorted sequence is still sorted — and ties stay in node-row order,
+//! exactly as a fresh per-node sort would leave them — so every node's
+//! split search sees the entry sequence a per-node gather-and-sort would
+//! build, at O(non-zeros) per expansion instead of O(non-zeros · log
+//! non-zeros).
 
 use crate::dataset::Dataset;
+use crate::incremental::Fitter;
 use crate::tree::{Node, RegressionTree, Split};
 
 /// Running (count, sum, sum-of-squares) statistics of a row subset.
@@ -88,106 +92,23 @@ struct LeafState {
     best: Option<Candidate>,
 }
 
-/// Configures and runs tree fitting.
-///
-/// ```
-/// use fuzzyphase_regtree::{Dataset, TreeBuilder};
-/// let ds = Dataset::paper_example();
-/// let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
-/// assert_eq!(tree.num_leaves(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeBuilder {
-    pub(crate) max_leaves: usize,
-    pub(crate) min_leaf: usize,
-}
-
-impl Default for TreeBuilder {
-    fn default() -> Self {
-        Self {
-            // §4.3: "we chose to restrict the maximum number of chambers
-            // to be no more than 50".
-            max_leaves: 50,
-            min_leaf: 1,
-        }
-    }
-}
-
-impl TreeBuilder {
-    /// Default configuration (≤ 50 chambers, leaves of ≥ 1 row).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caps the number of chambers.
+impl Fitter {
+    /// The scalar reference fit, kept as the one independent oracle for
+    /// the production growers ([`Fitter::full`], [`Fitter::incremental`]):
+    /// gather and sort the non-zeros once at the root, stably partition
+    /// them on every expansion, and search each node with a plain scalar
+    /// scan. It shares no expansion code with the columnar kernels and
+    /// grows the bit-identical tree (property-tested). Building with
+    /// `--features scalar-ref` makes it the implementation behind
+    /// [`Fitter::full`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn max_leaves(mut self, k: usize) -> Self {
-        assert!(k >= 1, "need at least one leaf");
-        self.max_leaves = k;
-        self
-    }
-
-    /// Requires at least `n` training rows per chamber.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn min_leaf(mut self, n: usize) -> Self {
-        assert!(n >= 1, "min leaf size must be positive");
-        self.min_leaf = n;
-        self
-    }
-
-    /// Fits a tree to the dataset.
-    ///
-    /// Runs the columnar batch kernels ([`TreeBuilder::fit_columnar`])
-    /// by default. Building with `--features scalar-ref` swaps the
-    /// scalar presorted-cache path back in as the implementation behind
-    /// this method, so the entire downstream stack (cross-validation,
-    /// the serve daemon, the figures pipeline) can be exercised on the
-    /// oracle path; both produce bit-identical trees, so the feature
-    /// changes performance only.
-    pub fn fit(&self, ds: &Dataset) -> RegressionTree {
-        #[cfg(feature = "scalar-ref")]
-        {
-            self.fit_scalar(ds)
-        }
-        #[cfg(not(feature = "scalar-ref"))]
-        {
-            self.fit_columnar(ds)
-        }
-    }
-
-    /// Fits on the columnar layout with batch split-search and
-    /// partition kernels (DESIGN.md D13). Bit-identical to
-    /// [`TreeBuilder::fit_scalar`]; the default behind
-    /// [`TreeBuilder::fit`].
-    pub fn fit_columnar(&self, ds: &Dataset) -> RegressionTree {
-        crate::columnar::fit_columnar(self, ds)
-    }
-
-    /// Scalar fit using the presorted split-entry cache: sort the
-    /// non-zeros once at the root, stably partition them on every
-    /// expansion. Retained as the bit-identity oracle for the columnar
-    /// kernels (and as the implementation behind [`TreeBuilder::fit`]
-    /// when the `scalar-ref` feature is enabled).
+    /// ```
+    /// use fuzzyphase_regtree::{Dataset, Fitter};
+    /// let ds = Dataset::paper_example();
+    /// let fitter = Fitter::new().max_leaves(4);
+    /// assert_eq!(fitter.fit_scalar(&ds), fitter.full(&ds));
+    /// ```
     pub fn fit_scalar(&self, ds: &Dataset) -> RegressionTree {
-        self.fit_impl(ds, true)
-    }
-
-    /// Reference fit without the split-entry cache: every node re-gathers
-    /// and re-sorts its non-zeros, as a literal reading of the paper's
-    /// algorithm would. Produces a tree identical to [`TreeBuilder::fit`]
-    /// (property-tested); kept as the ablation baseline for benches and
-    /// as the oracle for cache-correctness tests.
-    pub fn fit_rescan(&self, ds: &Dataset) -> RegressionTree {
-        self.fit_impl(ds, false)
-    }
-
-    fn fit_impl(&self, ds: &Dataset, cache_entries: bool) -> RegressionTree {
         let all_rows: Vec<u32> = (0..ds.len() as u32).collect();
         let root_stats = subset_stats(ds, &all_rows);
         let root_entries = gather_sorted(ds, &all_rows);
@@ -243,23 +164,15 @@ impl TreeBuilder {
             // partition is stable, so both children stay sorted with ties
             // in node-row order — byte-for-byte what `gather_sorted`
             // would rebuild.
-            let (left_entries, right_entries) = if cache_entries {
-                let mut le = Vec::new();
-                let mut re = Vec::new();
-                for e in &leaf.entries {
-                    if goes_left[e.2 as usize] {
-                        le.push(*e);
-                    } else {
-                        re.push(*e);
-                    }
+            let mut left_entries = Vec::new();
+            let mut right_entries = Vec::new();
+            for e in &leaf.entries {
+                if goes_left[e.2 as usize] {
+                    left_entries.push(*e);
+                } else {
+                    right_entries.push(*e);
                 }
-                (le, re)
-            } else {
-                (
-                    gather_sorted(ds, &left_rows),
-                    gather_sorted(ds, &right_rows),
-                )
-            };
+            }
 
             let ls = subset_stats(ds, &left_rows);
             let rs = subset_stats(ds, &right_rows);
@@ -395,7 +308,7 @@ mod tests {
     #[test]
     fn paper_example_tree_matches_figure_1() {
         let ds = Dataset::paper_example();
-        let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
+        let tree = Fitter::new().max_leaves(4).full(&ds);
         let root = tree.root();
         let rs = root.split.expect("root split");
         assert_eq!((rs.feature, rs.threshold), (0, 20.0), "root is (EIP0, 20)");
@@ -416,7 +329,7 @@ mod tests {
         // EIP0 and EIP2 in the paper example give identical root
         // reductions; the builder must pick EIP0 deterministically.
         let ds = Dataset::paper_example();
-        let tree = TreeBuilder::new().max_leaves(2).fit(&ds);
+        let tree = Fitter::new().max_leaves(2).full(&ds);
         assert_eq!(tree.root().split.unwrap().feature, 0);
     }
 
@@ -426,7 +339,7 @@ mod tests {
             .map(|i| SparseVec::from_pairs([(i as u32, 1.0)]))
             .collect();
         let ds = Dataset::new(rows, vec![2.0; 10]);
-        let tree = TreeBuilder::new().fit(&ds);
+        let tree = Fitter::new().full(&ds);
         assert_eq!(tree.num_leaves(), 1);
         assert_eq!(tree.predict(ds.row(3)), 2.0);
     }
@@ -442,7 +355,7 @@ mod tests {
             ys.push(if i % 2 == 0 { 5.0 } else { 1.0 });
         }
         let ds = Dataset::new(rows, ys);
-        let tree = TreeBuilder::new().max_leaves(2).fit(&ds);
+        let tree = Fitter::new().max_leaves(2).full(&ds);
         assert!(tree.training_sse_k(2) < 1e-12);
         let s = tree.root().split.unwrap();
         assert_eq!(s.feature, 0);
@@ -452,7 +365,7 @@ mod tests {
     #[test]
     fn min_leaf_respected() {
         let ds = Dataset::paper_example();
-        let tree = TreeBuilder::new().max_leaves(8).min_leaf(2).fit(&ds);
+        let tree = Fitter::new().max_leaves(8).min_leaf(2).full(&ds);
         for n in tree.nodes() {
             assert!(n.count >= 2);
         }
@@ -462,7 +375,7 @@ mod tests {
     fn leaf_cap_respected() {
         let ds = Dataset::paper_example();
         for cap in 1..=8 {
-            let tree = TreeBuilder::new().max_leaves(cap).fit(&ds);
+            let tree = Fitter::new().max_leaves(cap).full(&ds);
             assert!(tree.num_leaves() <= cap);
         }
     }
@@ -470,46 +383,12 @@ mod tests {
     #[test]
     fn children_partition_parent() {
         let ds = Dataset::paper_example();
-        let tree = TreeBuilder::new().max_leaves(6).fit(&ds);
+        let tree = Fitter::new().max_leaves(6).full(&ds);
         for n in tree.nodes() {
             if let (Some(l), Some(r)) = (n.left, n.right) {
                 let (l, r) = (&tree.nodes()[l as usize], &tree.nodes()[r as usize]);
                 assert_eq!(l.count + r.count, n.count);
             }
-        }
-    }
-
-    #[test]
-    fn cached_entries_match_rescan_on_paper_example() {
-        let ds = Dataset::paper_example();
-        for cap in 1..=8 {
-            let cached = TreeBuilder::new().max_leaves(cap).fit(&ds);
-            let rescan = TreeBuilder::new().max_leaves(cap).fit_rescan(&ds);
-            assert_eq!(cached, rescan, "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn cached_entries_match_rescan_on_random_data() {
-        use fuzzyphase_stats::seeded_rng;
-        use rand::Rng;
-        for seed in 0..5u64 {
-            let mut rng = seeded_rng(seed);
-            let n = 80;
-            let mut rows = Vec::new();
-            let mut ys = Vec::new();
-            for _ in 0..n {
-                let nnz = rng.gen_range(1..6);
-                let pairs: Vec<(u32, f64)> = (0..nnz)
-                    .map(|_| (rng.gen_range(0..15u32), rng.gen_range(1.0..50.0)))
-                    .collect();
-                rows.push(SparseVec::from_pairs(pairs));
-                ys.push(rng.gen_range(0.0..4.0));
-            }
-            let ds = Dataset::new(rows, ys);
-            let cached = TreeBuilder::new().min_leaf(2).fit(&ds);
-            let rescan = TreeBuilder::new().min_leaf(2).fit_rescan(&ds);
-            assert_eq!(cached, rescan, "seed {seed}");
         }
     }
 
@@ -528,7 +407,7 @@ mod tests {
             }
         }
         let ds = Dataset::new(rows, ys);
-        let tree = TreeBuilder::new().max_leaves(2).fit(&ds);
+        let tree = Fitter::new().max_leaves(2).full(&ds);
         let s = tree.root().split.unwrap();
         // Splitting on either marker feature at threshold 0 separates
         // perfectly; the builder picks the lowest feature id.

@@ -4,9 +4,10 @@
 //! The row-sparse [`Dataset`] stores one `SparseVec` per interval — the
 //! natural shape for ingest, but the wrong one for split search, which
 //! wants every candidate `(feature, value)` pair of a node in one
-//! contiguous, presorted sweep. [`TreeBuilder::fit`] used to rebuild
-//! that shape per fit by gathering `(feature, value, row)` triples and
-//! sorting them with an `O(E log E)` comparison sort. The columnar
+//! contiguous, presorted sweep. The scalar oracle
+//! ([`crate::Fitter::fit_scalar`]) rebuilds that shape per fit by gathering
+//! `(feature, value, row)` triples and sorting them with an
+//! `O(E log E)` comparison sort. The columnar
 //! layout makes it the *primary* storage instead: per-feature contiguous
 //! `(value, row)` arrays built by a bucket-then-sort kernel — entries
 //! are placed into per-feature buckets through a dense `feature →
@@ -16,8 +17,9 @@
 //!
 //! The growth machinery downstream lives in [`crate::kernel`] (the
 //! shared split kernel — also the substrate of `fuzzyphase-diff`'s
-//! discriminant trees); [`fit_on_columns`] is its regression-tree entry
-//! point. The kernel keeps the scalar algorithm's structure — per-node
+//! discriminant trees); [`crate::Fitter::full`] and
+//! [`crate::Fitter::full_on_columns`]
+//! are its entry points. The kernel keeps the scalar algorithm's structure — per-node
 //! flat `(feature, value, row)` entry caches, stably partitioned into
 //! the children on expansion — but cuts the root cache directly from
 //! the columnar storage (no per-fit gather/sort) and batches the
@@ -37,15 +39,12 @@
 //!
 //! Every floating-point accumulation keeps the scalar path's operation
 //! order, so the fitted tree is **bit-identical** to
-//! [`TreeBuilder::fit_scalar`] — asserted by unit, property, and CI
+//! [`crate::Fitter::fit_scalar`] — asserted by unit, property, and CI
 //! tests, and enforced end-to-end by building the whole workspace with
 //! `--features scalar-ref` (which swaps the scalar oracle back in as
 //! the default fit).
 
-use crate::builder::TreeBuilder;
 use crate::dataset::Dataset;
-use crate::kernel::grow_on_columns;
-use crate::tree::RegressionTree;
 
 /// Maps an `f64` to a `u64` whose unsigned order equals the IEEE 754
 /// total order ([`f64::total_cmp`]): flip the sign bit of non-negatives,
@@ -283,28 +282,10 @@ impl ColumnarDataset {
     }
 }
 
-/// Fits a tree on the columnar layout. Produces a tree bit-identical to
-/// [`TreeBuilder::fit_scalar`]: every floating-point reduction runs in
-/// the same order, only the memory layout and control flow differ.
-///
-/// The columnar form is the dataset's memoized primary storage
-/// ([`Dataset::columnar`]), so repeated fits on one dataset pay the
-/// build once and then run [`fit_on_columns`] directly.
-pub(crate) fn fit_columnar(builder: &TreeBuilder, ds: &Dataset) -> RegressionTree {
-    fit_on_columns(builder, ds.columnar())
-}
-
-/// Fits a tree directly on the prebuilt [`ColumnarDataset`] primary
-/// storage, via the shared growth kernel ([`crate::kernel`]). External
-/// callers go through [`crate::Fitter::full_on_columns`] — this is the
-/// crate-internal plumbing behind it.
-pub(crate) fn fit_on_columns(builder: &TreeBuilder, cols: &ColumnarDataset) -> RegressionTree {
-    RegressionTree::from_nodes(grow_on_columns(builder, cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fitter;
     use fuzzyphase_stats::{seeded_rng, SparseVec};
     use rand::Rng;
 
@@ -471,16 +452,20 @@ mod tests {
         assert_eq!(via_fallback.values, via_dense.values);
         assert_eq!(via_fallback.rows, via_dense.rows);
         // The trees agree too.
-        let b = TreeBuilder::new().min_leaf(2);
-        assert_eq!(b.fit(&ds), b.fit_scalar(&ds));
+        let b = Fitter::new().min_leaf(2);
+        assert_eq!(b.full(&ds), b.fit_scalar(&ds));
     }
 
     #[test]
     fn columnar_fit_matches_scalar_on_paper_example() {
         let ds = Dataset::paper_example();
         for cap in 1..=8 {
-            let b = TreeBuilder::new().max_leaves(cap);
-            assert_eq!(fit_columnar(&b, &ds), b.fit_scalar(&ds), "cap {cap}");
+            let b = Fitter::new().max_leaves(cap);
+            assert_eq!(
+                b.full_on_columns(ds.columnar()),
+                b.fit_scalar(&ds),
+                "cap {cap}"
+            );
         }
     }
 
@@ -489,8 +474,8 @@ mod tests {
         for seed in 0..6 {
             let ds = random_dataset(seed, 90, 15);
             for min_leaf in [1, 2, 3] {
-                let b = TreeBuilder::new().min_leaf(min_leaf);
-                let col = fit_columnar(&b, &ds);
+                let b = Fitter::new().min_leaf(min_leaf);
+                let col = b.full_on_columns(ds.columnar());
                 let sca = b.fit_scalar(&ds);
                 assert_eq!(col, sca, "seed {seed} min_leaf {min_leaf}");
                 for (cn, sn) in col.nodes().iter().zip(sca.nodes()) {
@@ -518,8 +503,8 @@ mod tests {
                 ys.push(rng.gen_range(0..5) as f64);
             }
             let ds = Dataset::new(rows, ys);
-            let b = TreeBuilder::new().min_leaf(2);
-            assert_eq!(fit_columnar(&b, &ds), b.fit_scalar(&ds));
+            let b = Fitter::new().min_leaf(2);
+            assert_eq!(b.full_on_columns(ds.columnar()), b.fit_scalar(&ds));
         }
     }
 }

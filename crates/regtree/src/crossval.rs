@@ -337,7 +337,6 @@ pub fn cross_validate(ds: &Dataset, seed: u64) -> ReCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TreeBuilder;
     use fuzzyphase_stats::{seeded_rng, SparseVec};
     use rand::Rng;
 
@@ -497,7 +496,7 @@ mod tests {
     #[test]
     fn batch_sse_bit_identical_to_scalar() {
         for (ds, seed) in [(separable(150, 20), 21u64), (noise(120, 22), 23)] {
-            let tree = TreeBuilder::new().fit(&ds);
+            let tree = Fitter::new().full(&ds);
             let test: Vec<usize> = (0..ds.len()).step_by(3).collect();
             for k_max in [1, 2, 7, 50, 80] {
                 let batch = eval_sse_batch(&tree, &ds, &test, k_max);

@@ -16,7 +16,7 @@ pub struct Dataset {
     rows: Vec<SparseVec>,
     y: Vec<f64>,
     /// Columnar form of the same data, built on first use and reused by
-    /// every subsequent fit ([`crate::TreeBuilder::fit`] runs directly
+    /// every subsequent fit ([`crate::Fitter::full`] runs directly
     /// on it). Rows and targets are immutable after construction, so
     /// the cache can never go stale.
     columnar: OnceLock<ColumnarDataset>,

@@ -1,5 +1,5 @@
-//! Delta-maintained incremental refits behind the unified [`Fitter`]
-//! API (DESIGN.md D15).
+//! The fit configuration [`Fitter`] and the delta-maintained
+//! incremental refits behind it (DESIGN.md D15).
 //!
 //! The daemon accumulates `(EIPV, CPI)` rows and refits on a cadence.
 //! Refitting from scratch is O(non-zeros · depth) plus a columnar
@@ -15,7 +15,7 @@
 //!
 //! [`Fitter::incremental`] is *not* an approximation:
 //! the tree it returns is bit-identical to what
-//! [`TreeBuilder::fit`] would grow from scratch on the same accumulated
+//! [`Fitter::full`] would grow from scratch on the same accumulated
 //! dataset, for every delta schedule (property-tested, and re-proven
 //! against the scalar oracle under `--features scalar-ref`). The
 //! soundness argument is spelled out in DESIGN.md D15; the short form:
@@ -35,30 +35,25 @@
 //!   leaf with the same tie-breaks at every step, so node indices and
 //!   split orders come out identical too.
 
-use crate::builder::{Candidate, Stats, TreeBuilder};
+use crate::builder::{Candidate, Stats};
 use crate::columnar::{value_order_key, ColumnarDataset};
 use crate::dataset::Dataset;
-use crate::kernel::{search_flat, stats_of, ColCache, RowGainCache};
-use crate::tree::{Node, RegressionTree, Split};
+use crate::kernel::{
+    grow_on_columns, leaf_node, pick_leaf, push_children, search_flat, split_sides, ColCache,
+    Entry, RowGainCache, Side,
+};
+use crate::tree::{Node, RegressionTree};
 use fuzzyphase_stats::SparseVec;
-
-/// A non-zero count in a node: `(feature, value, row)`, sorted by the
-/// total key `(feature, value, row)` (see module docs).
-type Entry = (u32, f64, u32);
 
 #[inline]
 fn entry_key(e: &Entry) -> (u32, u64, u32) {
     (e.0, value_order_key(e.1), e.2)
 }
 
-/// The unified fit entry point: one builder covering the one-shot fit
-/// ([`Fitter::full`]) and the delta-maintained incremental refit
-/// ([`Fitter::incremental`]).
-///
-/// This replaces the scattered `fit` / `fit_cached` / `fit_on_columns`
-/// call sites; [`TreeBuilder`] remains public as the bit-identity
-/// *oracle* the incremental path is tested against (DESIGN.md D13/D15),
-/// but pipeline code goes through `Fitter`.
+/// The one fit configuration: it runs the one-shot fit
+/// ([`Fitter::full`]), the delta-maintained incremental refit
+/// ([`Fitter::incremental`]) and the scalar oracle
+/// ([`Fitter::fit_scalar`]), all growing the bit-identical tree.
 ///
 /// ```
 /// use fuzzyphase_regtree::{Dataset, Fitter};
@@ -67,14 +62,25 @@ fn entry_key(e: &Entry) -> (u32, u64, u32) {
 /// let tree = fitter.full(&ds);
 /// assert_eq!(tree.num_leaves(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fitter {
-    builder: TreeBuilder,
+    pub(crate) max_leaves: usize,
+    pub(crate) min_leaf: usize,
+}
+
+impl Default for Fitter {
+    fn default() -> Self {
+        Self {
+            // §4.3: "we chose to restrict the maximum number of chambers
+            // to be no more than 50".
+            max_leaves: 50,
+            min_leaf: 1,
+        }
+    }
 }
 
 impl Fitter {
-    /// Default configuration (≤ 50 chambers, leaves of ≥ 1 row) — the
-    /// same defaults as [`TreeBuilder::new`].
+    /// Default configuration (≤ 50 chambers, leaves of ≥ 1 row).
     pub fn new() -> Self {
         Self::default()
     }
@@ -85,7 +91,8 @@ impl Fitter {
     ///
     /// Panics if `k == 0`.
     pub fn max_leaves(mut self, k: usize) -> Self {
-        self.builder = self.builder.max_leaves(k);
+        assert!(k >= 1, "need at least one leaf");
+        self.max_leaves = k;
         self
     }
 
@@ -95,28 +102,40 @@ impl Fitter {
     ///
     /// Panics if `n == 0`.
     pub fn min_leaf(mut self, n: usize) -> Self {
-        self.builder = self.builder.min_leaf(n);
+        assert!(n >= 1, "min leaf size must be positive");
+        self.min_leaf = n;
         self
     }
 
-    /// One-shot fit of the whole dataset. Exactly [`TreeBuilder::fit`]:
-    /// the columnar batch kernels by default, the scalar oracle under
-    /// `--features scalar-ref`, bit-identical either way.
+    /// One-shot fit of the whole dataset: the columnar batch kernels
+    /// (DESIGN.md D13) on the dataset's memoized columnar storage.
+    /// Building with `--features scalar-ref` swaps the scalar oracle
+    /// ([`Fitter::fit_scalar`]) in behind this method, so the entire
+    /// downstream stack (cross-validation, the serve daemon, the figures
+    /// pipeline) can run on the oracle path; both grow bit-identical
+    /// trees, so the feature changes performance only.
     pub fn full(&self, ds: &Dataset) -> RegressionTree {
-        self.builder.fit(ds)
+        #[cfg(feature = "scalar-ref")]
+        {
+            self.fit_scalar(ds)
+        }
+        #[cfg(not(feature = "scalar-ref"))]
+        {
+            self.full_on_columns(ds.columnar())
+        }
     }
 
     /// One-shot fit on prebuilt columnar storage — for callers that
-    /// manage [`ColumnarDataset`] construction themselves (benches, the
-    /// ablation harness). Same tree as [`Fitter::full`].
+    /// manage [`ColumnarDataset`] construction themselves (benches).
+    /// Always the columnar kernels; same tree as [`Fitter::full`].
     pub fn full_on_columns(&self, cols: &ColumnarDataset) -> RegressionTree {
-        crate::columnar::fit_on_columns(&self.builder, cols)
+        grow_on_columns(self, cols)
     }
 
     /// Starts an empty incremental fit state for this configuration.
     pub fn begin(&self) -> FitState {
         FitState {
-            builder: self.builder,
+            fitter: *self,
             y: Vec::new(),
             ysq: Vec::new(),
             nodes: Vec::new(),
@@ -126,7 +145,7 @@ impl Fitter {
 
     /// Applies `delta` (possibly empty) to the accumulated state and
     /// returns the refitted tree — bit-identical to
-    /// [`TreeBuilder::fit`] from scratch on all rows fed so far.
+    /// [`Fitter::full`] from scratch on all rows fed so far.
     ///
     /// # Panics
     ///
@@ -135,7 +154,7 @@ impl Fitter {
     /// least one row, exactly like [`Dataset::new`]).
     pub fn incremental(&self, state: &mut FitState, delta: &FitDelta) -> RegressionTree {
         assert_eq!(
-            state.builder, self.builder,
+            state.fitter, *self,
             "FitState was begun by a differently-configured Fitter"
         );
         state.apply_delta(delta);
@@ -188,14 +207,13 @@ impl FitDelta {
 }
 
 /// Per-node maintained state: the node's rows (ascending dataset
-/// order), its presorted split-entry cache, SSE partials, per-column
-/// aggregates for the search's column-skip bound ([`ColCache`]), and
-/// the cached best candidate (valid while `dirty` is false).
+/// order), presorted split-entry cache and SSE partials ([`Side`]),
+/// per-column aggregates for the search's column-skip bound
+/// ([`ColCache`]), and the cached best candidate (valid while `dirty`
+/// is false).
 #[derive(Debug, Default, Clone)]
 struct CacheSlot {
-    rows: Vec<u32>,
-    entries: Vec<Entry>,
-    stats: Stats,
+    side: Side,
     cols: Vec<ColCache>,
     best: Option<Candidate>,
     dirty: bool,
@@ -210,7 +228,7 @@ struct CacheSlot {
 /// which is how the daemon's crash recovery restores it from spools.
 #[derive(Debug, Clone)]
 pub struct FitState {
-    builder: TreeBuilder,
+    fitter: Fitter,
     y: Vec<f64>,
     ysq: Vec<f64>,
     /// Node arena of the last emitted tree (empty before the first
@@ -246,14 +264,7 @@ impl FitState {
         if self.nodes.is_empty() {
             // Bootstrap: a placeholder root leaf; the first replay
             // emits the real arena.
-            self.nodes.push(Node {
-                mean: 0.0,
-                count: 0,
-                sse: 0.0,
-                split: None,
-                left: None,
-                right: None,
-            });
+            self.nodes.push(leaf_node(&Stats::default(), 0));
             self.cache.push(CacheSlot::default());
         }
 
@@ -273,26 +284,20 @@ impl FitState {
             fresh.sort_unstable_by_key(entry_key);
 
             let slot = &mut self.cache[idx];
-            merge_entries(&mut slot.entries, &fresh);
-            update_cols(&mut slot.cols, &slot.entries, &fresh, old_n as u32, &self.y);
+            let side = &mut slot.side;
+            merge_entries(&mut side.entries, &fresh);
+            update_cols(&mut slot.cols, &side.entries, &fresh, old_n as u32, &self.y);
             for &r in &routed {
-                slot.stats.push(self.y[r as usize]);
+                side.stats.push(self.y[r as usize]);
             }
-            slot.rows.extend_from_slice(&routed);
+            side.rows.extend_from_slice(&routed);
             slot.dirty = true;
 
             let nd = &self.nodes[idx];
             if let (Some(split), Some(l), Some(r)) = (nd.split, nd.left, nd.right) {
-                let mut lrows = Vec::new();
-                let mut rrows = Vec::new();
-                for &row in &routed {
-                    let v = delta.rows[row as usize - old_n].get(split.feature);
-                    if v <= split.threshold {
-                        lrows.push(row);
-                    } else {
-                        rrows.push(row);
-                    }
-                }
+                let (lrows, rrows): (Vec<u32>, Vec<u32>) = routed.iter().partition(|&&row| {
+                    delta.rows[row as usize - old_n].get(split.feature) <= split.threshold
+                });
                 if !lrows.is_empty() {
                     stack.push((l as usize, lrows));
                 }
@@ -311,7 +316,7 @@ impl FitState {
     /// it) — bit-identical to `grow_on_columns` from scratch.
     fn replay(&mut self) -> RegressionTree {
         let n = self.y.len();
-        let builder = self.builder;
+        let fitter = self.fitter;
         let y = std::mem::take(&mut self.y);
         let ysq = std::mem::take(&mut self.ysq);
         let old_nodes = std::mem::take(&mut self.nodes);
@@ -330,6 +335,21 @@ impl FitState {
         }
 
         let mut memo = RowGainCache::new(n);
+        let mut research = |slot: &mut CacheSlot| {
+            if slot.dirty {
+                let side = &slot.side;
+                slot.best = search_flat(
+                    &fitter,
+                    &side.stats,
+                    &side.entries,
+                    Some(&slot.cols),
+                    &y,
+                    &ysq,
+                    &mut memo,
+                );
+                slot.dirty = false;
+            }
+        };
         let take_old = |cache: &mut Vec<Option<CacheSlot>>, i: u32| -> Option<CacheSlot> {
             cache.get_mut(i as usize).and_then(Option::take)
         };
@@ -337,26 +357,8 @@ impl FitState {
         // fuzzylint: allow(panic) — apply_delta bootstraps slot 0
         // before replay ever runs, and each slot is consumed once
         let mut root = take_old(&mut old_cache, 0).expect("root cache slot must exist");
-        if root.dirty {
-            root.best = search_flat(
-                &builder,
-                &root.stats,
-                &root.entries,
-                Some(&root.cols),
-                &y,
-                &ysq,
-                &mut memo,
-            );
-            root.dirty = false;
-        }
-        let mut nodes = vec![Node {
-            mean: root.stats.mean(),
-            count: root.rows.len() as u32,
-            sse: root.stats.sse(),
-            split: None,
-            left: None,
-            right: None,
-        }];
+        research(&mut root);
+        let mut nodes = vec![leaf_node(&root.side.stats, root.side.rows.len())];
         let mut leaves = vec![Live {
             node: 0,
             old: Some(0),
@@ -366,22 +368,14 @@ impl FitState {
         // parents at expansion time, surviving leaves at the end).
         let mut finished: Vec<Option<CacheSlot>> = Vec::new();
         let mut goes_left = vec![false; n];
-        let mut order = 0u32;
 
-        while nodes.iter().filter(|nd| nd.is_leaf()).count() < builder.max_leaves {
-            // Same selection rule (and tie-break) as the kernel: the
-            // largest gain, lowest node index on ties. Gains are
-            // bit-equal to scratch, so the pick is too.
-            let Some((leaf_idx, cand)) = leaves
-                .iter()
-                .enumerate()
-                .filter_map(|(i, l)| l.slot.best.map(|c| (i, l.node, c)))
-                .max_by(|(_, na, ca), (_, nb, cb)| ca.gain.total_cmp(&cb.gain).then(nb.cmp(na)))
-                .map(|(i, _, c)| (i, c))
-            else {
-                break;
-            };
-
+        // Same selection rule (and tie-break) as the one-shot kernel.
+        // Gains are bit-equal to scratch, so the pick is too.
+        while let Some((leaf_idx, cand)) = pick_leaf(
+            &nodes,
+            fitter.max_leaves,
+            leaves.iter().map(|l| (l.node, l.slot.best)),
+        ) {
             let leaf = leaves.swap_remove(leaf_idx);
 
             // Unchanged split ⇒ adopt the old children: their caches
@@ -401,111 +395,30 @@ impl FitState {
             let reused = reuse.and_then(|(lo, ro)| {
                 let ls = take_old(&mut old_cache, lo)?;
                 let rs = take_old(&mut old_cache, ro)?;
-                Some((Some(lo), ls, Some(ro), rs))
+                Some([(Some(lo), ls), (Some(ro), rs)])
             });
-            let (lold, lslot, rold, rslot) = match reused {
-                Some(r) => r,
-                None => {
-                    // The split changed (or the node is brand new):
-                    // partition rows and entries exactly as the kernel
-                    // does and rebuild both children from scratch.
-                    let zero_left = 0.0 <= cand.threshold;
-                    for &r in &leaf.slot.rows {
-                        goes_left[r as usize] = zero_left;
-                    }
-                    let lo = leaf.slot.entries.partition_point(|e| e.0 < cand.feature);
-                    let hi = lo + leaf.slot.entries[lo..].partition_point(|e| e.0 == cand.feature);
-                    for &(_, v, r) in &leaf.slot.entries[lo..hi] {
-                        goes_left[r as usize] = v <= cand.threshold;
-                    }
-                    let mut left_rows = Vec::new();
-                    let mut right_rows = Vec::new();
-                    for &r in &leaf.slot.rows {
-                        if goes_left[r as usize] {
-                            left_rows.push(r);
-                        } else {
-                            right_rows.push(r);
-                        }
-                    }
-                    debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-                    let mut le = Vec::with_capacity(leaf.slot.entries.len());
-                    let mut re = Vec::with_capacity(leaf.slot.entries.len());
-                    for &e in &leaf.slot.entries {
-                        if goes_left[e.2 as usize] {
-                            le.push(e);
-                        } else {
-                            re.push(e);
-                        }
-                    }
-                    let ls = stats_of(&y, &left_rows);
-                    let rs = stats_of(&y, &right_rows);
-                    let lc = build_cols(&le, &y);
-                    let rc = build_cols(&re, &y);
-                    (
-                        None,
-                        CacheSlot {
-                            rows: left_rows,
-                            entries: le,
-                            stats: ls,
-                            cols: lc,
-                            best: None,
-                            dirty: true,
-                        },
-                        None,
-                        CacheSlot {
-                            rows: right_rows,
-                            entries: re,
-                            stats: rs,
-                            cols: rc,
-                            best: None,
-                            dirty: true,
-                        },
-                    )
-                }
-            };
+            // Otherwise the split changed (or the node is brand new):
+            // partition exactly as the one-shot kernel does and rebuild
+            // both children's caches from scratch.
+            let children = reused.unwrap_or_else(|| {
+                let side = &leaf.slot.side;
+                split_sides(&side.rows, &side.entries, &cand, &y, &mut goes_left).map(|side| {
+                    let cols = build_cols(&side.entries, &y);
+                    let slot = CacheSlot {
+                        side,
+                        cols,
+                        best: None,
+                        dirty: true,
+                    };
+                    (None, slot)
+                })
+            });
 
-            let li = nodes.len() as u32;
-            let ri = li + 1;
-            nodes.push(Node {
-                mean: lslot.stats.mean(),
-                count: lslot.rows.len() as u32,
-                sse: lslot.stats.sse(),
-                split: None,
-                left: None,
-                right: None,
-            });
-            nodes.push(Node {
-                mean: rslot.stats.mean(),
-                count: rslot.rows.len() as u32,
-                sse: rslot.stats.sse(),
-                split: None,
-                left: None,
-                right: None,
-            });
-            let parent = &mut nodes[leaf.node as usize];
-            parent.split = Some(Split {
-                feature: cand.feature,
-                threshold: cand.threshold,
-                order,
-            });
-            parent.left = Some(li);
-            parent.right = Some(ri);
-            order += 1;
+            let [(_, l), (_, r)] = &children;
+            let indices = push_children(&mut nodes, leaf.node, &cand, &l.side, &r.side);
             store(&mut finished, leaf.node, leaf.slot);
-
-            for (node, old, mut slot) in [(li, lold, lslot), (ri, rold, rslot)] {
-                if slot.dirty {
-                    slot.best = search_flat(
-                        &builder,
-                        &slot.stats,
-                        &slot.entries,
-                        Some(&slot.cols),
-                        &y,
-                        &ysq,
-                        &mut memo,
-                    );
-                    slot.dirty = false;
-                }
+            for (node, (old, mut slot)) in indices.into_iter().zip(children) {
+                research(&mut slot);
                 leaves.push(Live { node, old, slot });
             }
         }
@@ -811,12 +724,12 @@ mod tests {
 
     #[test]
     fn full_matches_tree_builder_oracle() {
-        // The API-migration pin: `Fitter::full` must be the old
-        // cached/columnar `TreeBuilder::fit`, bit for bit.
+        // `Fitter::full` and `Fitter::full_on_columns` must grow the
+        // scalar oracle's tree (the `builder` module), bit for bit.
         let (rows, ys) = synth_rows(90, 200, 10);
         let ds = Dataset::new(rows, ys);
         let a = Fitter::new().max_leaves(20).min_leaf(2).full(&ds);
-        let b = TreeBuilder::new().max_leaves(20).min_leaf(2).fit(&ds);
+        let b = Fitter::new().max_leaves(20).min_leaf(2).fit_scalar(&ds);
         assert_trees_bit_identical(&a, &b);
         let c = Fitter::new()
             .max_leaves(20)

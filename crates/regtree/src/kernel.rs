@@ -2,9 +2,9 @@
 //!
 //! This module is the split-search machinery extracted from the
 //! columnar fit path so that every tree the workspace grows — the
-//! regression trees of [`crate::builder::TreeBuilder`] *and* the
-//! discriminant (classification) trees of `fuzzyphase-diff` — runs the
-//! one implementation instead of copy-pasting the search loop.
+//! regression trees of [`Fitter`] *and* the discriminant
+//! (classification) trees of `fuzzyphase-diff` — runs the one
+//! implementation instead of copy-pasting the search loop.
 //!
 //! The kernel grows a binary tree best-first, at every step expanding
 //! the leaf whose best split removes the most weighted within-node
@@ -17,30 +17,47 @@
 //! identically. The discriminant engine therefore reuses this kernel
 //! bit-for-bit — no parallel Gini search loop exists anywhere.
 //!
+//! Both production growers — the one-shot [`grow_on_columns`] and the
+//! incremental `FitState::replay` (DESIGN.md D15) — expand leaves
+//! through the same step here: [`pick_leaf`], [`split_sides`] and
+//! [`push_children`]. The scalar oracle ([`Fitter::fit_scalar`]) shares
+//! none of them, so it stays an independent check.
+//!
 //! Everything here preserves the scalar oracle's floating-point
 //! operation order (see [`crate::columnar`] and DESIGN.md D13): the
-//! grown tree is bit-identical to [`TreeBuilder::fit_scalar`].
+//! grown tree is bit-identical to [`Fitter::fit_scalar`].
 
-use crate::builder::{Candidate, Stats, TreeBuilder};
+use crate::builder::{Candidate, Stats};
 use crate::columnar::ColumnarDataset;
-use crate::tree::{Node, Split};
+use crate::incremental::Fitter;
+use crate::tree::{Node, RegressionTree, Split};
 
-/// One growable leaf: the node's non-zero `(feature, value, row)`
-/// entries, sorted by feature then value with ties in node-row order —
-/// the presorted split-entry cache, cut directly from the columnar
-/// primary storage instead of gathered and sorted per fit.
+/// A non-zero count in a node: `(feature, value, row)`, sorted by
+/// feature then value with ties in node-row order — the presorted
+/// split-entry cache every node carries.
+pub(crate) type Entry = (u32, f64, u32);
+
+/// One side of an expansion: its rows in node order, its entries (still
+/// sorted, see [`Entry`]) and its target statistics.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Side {
+    pub(crate) rows: Vec<u32>,
+    pub(crate) entries: Vec<Entry>,
+    pub(crate) stats: Stats,
+}
+
+/// One growable leaf of the one-shot grower.
 struct FlatLeaf {
     node: u32,
-    rows: Vec<u32>,
-    entries: Vec<(u32, f64, u32)>,
+    side: Side,
     best: Option<Candidate>,
 }
 
-/// Grows a tree on the prebuilt columnar storage and returns its node
-/// arena (root first). Best-first growth: the leaf with the largest
-/// gain expands next, deterministic tie-break on lowest node index —
-/// the same rule as the scalar path, producing bit-identical trees.
-pub(crate) fn grow_on_columns(builder: &TreeBuilder, cols: &ColumnarDataset) -> Vec<Node> {
+/// Grows a tree on the prebuilt columnar storage. Best-first growth:
+/// the leaf with the largest gain expands next, deterministic tie-break
+/// on lowest node index — the same rule as the scalar path, producing
+/// bit-identical trees.
+pub(crate) fn grow_on_columns(fitter: &Fitter, cols: &ColumnarDataset) -> RegressionTree {
     let n = cols.num_rows();
     let y = cols.targets();
     // Squared targets, shared by every group-pass reduction below: the
@@ -48,140 +65,168 @@ pub(crate) fn grow_on_columns(builder: &TreeBuilder, cols: &ColumnarDataset) -> 
     // replaces a multiply per entry visit.
     let ysq: Vec<f64> = y.iter().map(|&v| v * v).collect();
     let all_rows: Vec<u32> = (0..n as u32).collect();
-    let root_stats = stats_of(y, &all_rows);
 
     // The root's split-entry cache is the primary storage itself,
     // flattened: columns are laid out by ascending feature, values
     // ascending within a column with ties in row order — exactly the
     // order the scalar path's gather-and-sort produces.
-    let mut entries: Vec<(u32, f64, u32)> = Vec::with_capacity(cols.nnz());
+    let mut entries: Vec<Entry> = Vec::with_capacity(cols.nnz());
     for (c, &f) in cols.feat_ids().iter().enumerate() {
         let (vals, rows) = cols.column(c);
         for (&v, &r) in vals.iter().zip(rows) {
             entries.push((f, v, r));
         }
     }
+    let root = Side {
+        stats: stats_of(y, &all_rows),
+        rows: all_rows,
+        entries,
+    };
 
-    let mut nodes = vec![Node {
-        mean: root_stats.mean(),
-        count: all_rows.len() as u32,
-        sse: root_stats.sse(),
-        split: None,
-        left: None,
-        right: None,
-    }];
+    let mut nodes = vec![leaf_node(&root.stats, n)];
     let mut memo = RowGainCache::new(n);
     let mut leaves = vec![FlatLeaf {
         node: 0,
-        best: search_flat(builder, &root_stats, &entries, None, y, &ysq, &mut memo),
-        rows: all_rows,
-        entries,
+        best: search_flat(fitter, &root.stats, &root.entries, None, y, &ysq, &mut memo),
+        side: root,
     }];
     // Row -> side-of-split lookup, reused across expansions; only the
     // expanded node's rows are consulted, so stale slots are harmless.
     let mut goes_left = vec![false; n];
 
-    let mut order = 0u32;
-    while nodes.iter().filter(|nd| nd.is_leaf()).count() < builder.max_leaves {
-        // Pick the expandable leaf with the largest gain (deterministic
-        // tie-break: lowest node index) — same rule as the scalar path.
-        let Some((leaf_idx, cand)) = leaves
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.best.map(|c| (i, l.node, c)))
-            .max_by(|(_, na, ca), (_, nb, cb)| ca.gain.total_cmp(&cb.gain).then(nb.cmp(na)))
-            .map(|(i, _, c)| (i, c))
-        else {
-            break;
-        };
-
+    while let Some((leaf_idx, cand)) = pick_leaf(
+        &nodes,
+        fitter.max_leaves,
+        leaves.iter().map(|l| (l.node, l.best)),
+    ) {
         let leaf = leaves.swap_remove(leaf_idx);
-
-        // Derive the split sides from the split feature's entry range
-        // alone: rows absent from it hold the implicit zero, so they
-        // side with `0.0 <= threshold`; rows present use their stored
-        // value — the same predicate the scalar path evaluates with a
-        // per-row binary search.
-        let zero_left = 0.0 <= cand.threshold;
-        for &r in &leaf.rows {
-            goes_left[r as usize] = zero_left;
+        let sides = split_sides(
+            &leaf.side.rows,
+            &leaf.side.entries,
+            &cand,
+            y,
+            &mut goes_left,
+        );
+        let children = push_children(&mut nodes, leaf.node, &cand, &sides[0], &sides[1]);
+        for (node, side) in children.into_iter().zip(sides) {
+            leaves.push(FlatLeaf {
+                node,
+                best: search_flat(fitter, &side.stats, &side.entries, None, y, &ysq, &mut memo),
+                side,
+            });
         }
-        let lo = leaf.entries.partition_point(|e| e.0 < cand.feature);
-        let hi = lo + leaf.entries[lo..].partition_point(|e| e.0 == cand.feature);
-        for &(_, v, r) in &leaf.entries[lo..hi] {
-            goes_left[r as usize] = v <= cand.threshold;
-        }
-
-        // Partition rows (stable, node order preserved).
-        let mut left_rows = Vec::new();
-        let mut right_rows = Vec::new();
-        for &r in &leaf.rows {
-            if goes_left[r as usize] {
-                left_rows.push(r);
-            } else {
-                right_rows.push(r);
-            }
-        }
-        debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-
-        // Stable-partition the entry cache into the children: a stable
-        // partition of a sorted sequence is still sorted, so neither
-        // child re-gathers or re-sorts.
-        let mut le = Vec::with_capacity(leaf.entries.len());
-        let mut re = Vec::with_capacity(leaf.entries.len());
-        for &e in &leaf.entries {
-            if goes_left[e.2 as usize] {
-                le.push(e);
-            } else {
-                re.push(e);
-            }
-        }
-
-        let ls = stats_of(y, &left_rows);
-        let rs = stats_of(y, &right_rows);
-        let li = nodes.len() as u32;
-        let ri = li + 1;
-        nodes.push(Node {
-            mean: ls.mean(),
-            count: left_rows.len() as u32,
-            sse: ls.sse(),
-            split: None,
-            left: None,
-            right: None,
-        });
-        nodes.push(Node {
-            mean: rs.mean(),
-            count: right_rows.len() as u32,
-            sse: rs.sse(),
-            split: None,
-            left: None,
-            right: None,
-        });
-        let parent = &mut nodes[leaf.node as usize];
-        parent.split = Some(Split {
-            feature: cand.feature,
-            threshold: cand.threshold,
-            order,
-        });
-        parent.left = Some(li);
-        parent.right = Some(ri);
-        order += 1;
-
-        leaves.push(FlatLeaf {
-            node: li,
-            best: search_flat(builder, &ls, &le, None, y, &ysq, &mut memo),
-            rows: left_rows,
-            entries: le,
-        });
-        leaves.push(FlatLeaf {
-            node: ri,
-            best: search_flat(builder, &rs, &re, None, y, &ysq, &mut memo),
-            rows: right_rows,
-            entries: re,
-        });
     }
 
-    nodes
+    RegressionTree::from_nodes(nodes)
+}
+
+/// A leaf node holding `rows` rows with target statistics `stats`.
+pub(crate) fn leaf_node(stats: &Stats, rows: usize) -> Node {
+    Node {
+        mean: stats.mean(),
+        count: rows as u32,
+        sse: stats.sse(),
+        split: None,
+        left: None,
+        right: None,
+    }
+}
+
+/// Picks the next leaf to expand among `leaves` (`(node index, best
+/// candidate)` pairs): the largest gain, lowest node index on ties.
+/// `None` once the tree has `max_leaves` leaves or no leaf can split.
+pub(crate) fn pick_leaf(
+    nodes: &[Node],
+    max_leaves: usize,
+    leaves: impl Iterator<Item = (u32, Option<Candidate>)>,
+) -> Option<(usize, Candidate)> {
+    // Every expansion turns one leaf into two, so an arena of `n` nodes
+    // holds `(n + 1) / 2` leaves.
+    if nodes.len().div_ceil(2) >= max_leaves {
+        return None;
+    }
+    leaves
+        .enumerate()
+        .filter_map(|(i, (node, best))| best.map(|c| (i, node, c)))
+        .max_by(|(_, na, ca), (_, nb, cb)| ca.gain.total_cmp(&cb.gain).then(nb.cmp(na)))
+        .map(|(i, _, c)| (i, c))
+}
+
+/// Splits a leaf's rows and entries by `cand` into its `[left, right]`
+/// children. Both partitions are stable: rows keep node order, and a
+/// stable partition of a sorted entry sequence is still sorted, so
+/// neither child re-gathers or re-sorts.
+pub(crate) fn split_sides(
+    rows: &[u32],
+    entries: &[Entry],
+    cand: &Candidate,
+    y: &[f64],
+    goes_left: &mut [bool],
+) -> [Side; 2] {
+    // Derive the split sides from the split feature's entry range
+    // alone: rows absent from it hold the implicit zero, so they side
+    // with `0.0 <= threshold`; rows present use their stored value —
+    // the same predicate the scalar path evaluates with a per-row
+    // binary search.
+    let zero_left = 0.0 <= cand.threshold;
+    for &r in rows {
+        goes_left[r as usize] = zero_left;
+    }
+    let lo = entries.partition_point(|e| e.0 < cand.feature);
+    let hi = lo + entries[lo..].partition_point(|e| e.0 == cand.feature);
+    for &(_, v, r) in &entries[lo..hi] {
+        goes_left[r as usize] = v <= cand.threshold;
+    }
+
+    let (left_rows, right_rows): (Vec<u32>, Vec<u32>) =
+        rows.iter().partition(|&&r| goes_left[r as usize]);
+    debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
+    let mut le = Vec::with_capacity(entries.len());
+    let mut re = Vec::with_capacity(entries.len());
+    for &e in entries {
+        if goes_left[e.2 as usize] {
+            le.push(e);
+        } else {
+            re.push(e);
+        }
+    }
+    [
+        Side {
+            stats: stats_of(y, &left_rows),
+            rows: left_rows,
+            entries: le,
+        },
+        Side {
+            stats: stats_of(y, &right_rows),
+            rows: right_rows,
+            entries: re,
+        },
+    ]
+}
+
+/// Appends the two children of `parent` as leaves and links them under
+/// `cand`'s split; returns their arena indices. The split's order is
+/// the number of expansions before it, which the arena size gives.
+pub(crate) fn push_children(
+    nodes: &mut Vec<Node>,
+    parent: u32,
+    cand: &Candidate,
+    left: &Side,
+    right: &Side,
+) -> [u32; 2] {
+    let li = nodes.len() as u32;
+    let order = (li - 1) / 2;
+    nodes.push(leaf_node(&left.stats, left.rows.len()));
+    nodes.push(leaf_node(&right.stats, right.rows.len()));
+    let p = &mut nodes[parent as usize];
+    p.split = Some(Split {
+        feature: cand.feature,
+        threshold: cand.threshold,
+        order,
+    });
+    p.left = Some(li);
+    p.right = Some(li + 1);
+    [li, li + 1]
 }
 
 /// Per-row memo of the "split this row off alone" gain, valid for one
@@ -214,7 +259,7 @@ impl RowGainCache {
 
 /// Target statistics of a row subset, accumulated in row order — the
 /// same reduction order as the scalar path's `subset_stats`.
-pub(crate) fn stats_of(y: &[f64], rows: &[u32]) -> Stats {
+fn stats_of(y: &[f64], rows: &[u32]) -> Stats {
     let mut s = Stats::default();
     for &r in rows {
         s.push(y[r as usize]);
@@ -249,7 +294,7 @@ pub(crate) struct ColCache {
 
 /// Batch best-split search over a node's presorted entry cache.
 ///
-/// Structurally this is the scalar `TreeBuilder::search` — per column a
+/// Structurally this is the scalar oracle's search — per column a
 /// register-resident group pass then a threshold scan, in the same
 /// floating-point order — with batch shortcuts that cannot change any
 /// accepted candidate's bits:
@@ -265,16 +310,16 @@ pub(crate) struct ColCache {
 ///   the current bar is skipped without scanning — see [`ColCache`] for
 ///   why that cannot change the accepted candidate.
 pub(crate) fn search_flat(
-    builder: &TreeBuilder,
+    fitter: &Fitter,
     node_stats: &Stats,
-    entries: &[(u32, f64, u32)],
+    entries: &[Entry],
     cols: Option<&[ColCache]>,
     y: &[f64],
     ysq: &[f64],
     memo: &mut RowGainCache,
 ) -> Option<Candidate> {
     let scale = node_stats.sumsq.max(f64::MIN_POSITIVE);
-    if (node_stats.n as usize) < 2 * builder.min_leaf || node_stats.sse() <= scale * 1e-12 {
+    if (node_stats.n as usize) < 2 * fitter.min_leaf || node_stats.sse() <= scale * 1e-12 {
         return None;
     }
 
@@ -293,7 +338,7 @@ pub(crate) fn search_flat(
     // scanned unless its bound sits clearly under the bar.
     let margin = scale * 1e-9;
     let mut ci = 0usize;
-    let min = builder.min_leaf as f64;
+    let min = fitter.min_leaf as f64;
 
     // Probe pass (incremental path only): before the ordered scan, find
     // the column with the highest upper bound and compute its best
@@ -329,15 +374,7 @@ pub(crate) fn search_flat(
             let lo = entries.partition_point(|e| e.0 < feature);
             let hi = lo + entries[lo..].partition_point(|e| e.0 == feature);
             if lo < hi {
-                let mut group = Stats::default();
-                for &(_, _, row) in &entries[lo..hi] {
-                    let r = row as usize;
-                    group.n += 1.0;
-                    group.sum += y[r];
-                    group.sumsq += ysq[r];
-                }
-                let zeros = node_stats.minus(&group);
-                let mut consider = |left: &Stats| {
+                scan_column(&entries[lo..hi], node_stats, y, ysq, |left, _| {
                     if left.n >= min {
                         let t = node_sse - left.sse();
                         let right = node_stats.minus(left);
@@ -348,24 +385,7 @@ pub(crate) fn search_flat(
                             }
                         }
                     }
-                };
-                let mut left = zeros;
-                let mut prev_value = 0.0;
-                let mut have_left = zeros.n > 0.0;
-                for &(_, v, row) in &entries[lo..hi - 1] {
-                    if v > prev_value && have_left {
-                        consider(&left);
-                    }
-                    let r = row as usize;
-                    left.n += 1.0;
-                    left.sum += y[r];
-                    left.sumsq += ysq[r];
-                    prev_value = v;
-                    have_left = true;
-                }
-                if entries[hi - 1].1 > prev_value && have_left {
-                    consider(&left);
-                }
+                });
             }
         }
     }
@@ -437,26 +457,7 @@ pub(crate) fn search_flat(
             continue;
         }
 
-        // Group totals for this feature — the scalar group pass.
-        let mut j = i;
-        let mut group = Stats::default();
-        while j < entries.len() && entries[j].0 == feature {
-            let r = entries[j].2 as usize;
-            group.n += 1.0;
-            group.sum += y[r];
-            group.sumsq += ysq[r];
-            j += 1;
-        }
-
-        // Rows where this feature is zero.
-        let zeros = node_stats.minus(&group);
-
-        // Threshold scan: zeros-only split first (threshold 0), then
-        // after each distinct non-zero value. The last entry only
-        // closes the scan (the split after it would leave the right
-        // side empty), so its accumulation into `left` is dead and the
-        // loop stops one short.
-        let mut consider = |left: &Stats, threshold: f64| {
+        i += scan_column(&entries[i..], node_stats, y, ysq, |left, threshold| {
             if left.n >= min {
                 // One-sided screen: the right side's SSE is clamped
                 // non-negative, so `node_sse - lsse` bounds the gain
@@ -481,26 +482,55 @@ pub(crate) fn search_flat(
                     }
                 }
             }
-        };
-        let mut left = zeros;
-        let mut prev_value = 0.0;
-        let mut have_left = zeros.n > 0.0;
-        for &(_, v, row) in &entries[i..j - 1] {
-            if v > prev_value && have_left {
-                consider(&left, prev_value);
-            }
-            let r = row as usize;
-            left.n += 1.0;
-            left.sum += y[r];
-            left.sumsq += ysq[r];
-            prev_value = v;
-            have_left = true;
-        }
-        let v = entries[j - 1].1;
+        });
+    }
+    best
+}
+
+/// One column's scan in the scalar search's exact arithmetic: the group
+/// pass over the column (the leading run of `entries` that shares the
+/// first entry's feature), then the threshold scan — the zeros-only
+/// split first (threshold 0), then one after each distinct non-zero
+/// value, each offered to `consider(left, threshold)`. The last entry
+/// only closes the scan (the split after it would leave the right side
+/// empty), so its accumulation into `left` is dead and the loop stops
+/// one short. Returns the column's entry count.
+#[inline(always)]
+fn scan_column(
+    entries: &[Entry],
+    node_stats: &Stats,
+    y: &[f64],
+    ysq: &[f64],
+    mut consider: impl FnMut(&Stats, f64),
+) -> usize {
+    let feature = entries[0].0;
+    let mut group = Stats::default();
+    let mut j = 0;
+    while j < entries.len() && entries[j].0 == feature {
+        let r = entries[j].2 as usize;
+        group.n += 1.0;
+        group.sum += y[r];
+        group.sumsq += ysq[r];
+        j += 1;
+    }
+    // Rows where this feature is zero.
+    let zeros = node_stats.minus(&group);
+    let mut left = zeros;
+    let mut prev_value = 0.0;
+    let mut have_left = zeros.n > 0.0;
+    for &(_, v, row) in &entries[..j - 1] {
         if v > prev_value && have_left {
             consider(&left, prev_value);
         }
-        i = j;
+        let r = row as usize;
+        left.n += 1.0;
+        left.sum += y[r];
+        left.sumsq += ysq[r];
+        prev_value = v;
+        have_left = true;
     }
-    best
+    if entries[j - 1].1 > prev_value && have_left {
+        consider(&left, prev_value);
+    }
+    j
 }

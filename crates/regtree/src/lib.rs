@@ -12,7 +12,9 @@
 //! * [`dataset`] — the (EIPV, CPI) sample collection.
 //! * [`columnar`] — per-feature contiguous storage + batch fit kernels.
 //! * [`tree`] — the fitted tree with nested `T_k` sub-trees.
-//! * [`builder`] — variance-minimizing best-first growth.
+//! * [`incremental`] — [`Fitter`], the fit configuration: one-shot and
+//!   delta-maintained incremental fits.
+//! * [`builder`] — the scalar reference fit, the growers' oracle.
 //! * [`crossval`] — 10-fold CV, RE curves, `k_opt` selection.
 //! * [`analysis`] — the one-call [`analysis::PredictabilityReport`].
 //!
@@ -28,11 +30,10 @@
 //! # Example: the paper's Table 1 / Figure 1 worked example
 //!
 //! ```
-//! use fuzzyphase_regtree::dataset::Dataset;
-//! use fuzzyphase_regtree::builder::TreeBuilder;
+//! use fuzzyphase_regtree::{Dataset, Fitter};
 //!
 //! let ds = Dataset::paper_example();
-//! let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
+//! let tree = Fitter::new().max_leaves(4).full(&ds);
 //! // Root splits on EIP0 at count 20, exactly like Figure 1.
 //! assert_eq!(tree.root().split.unwrap().feature, 0);
 //! assert_eq!(tree.root().split.unwrap().threshold, 20.0);
@@ -50,7 +51,6 @@ mod kernel;
 pub mod tree;
 
 pub use analysis::{analyze, AnalysisOptions, PredictabilityReport};
-pub use builder::TreeBuilder;
 pub use columnar::ColumnarDataset;
 pub use crossval::{
     cross_validate, cross_validate_ensemble, eval_sse_batch, eval_sse_scalar, CrossValidation,

@@ -212,12 +212,12 @@ impl RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TreeBuilder;
     use crate::dataset::Dataset;
+    use crate::Fitter;
 
     fn paper_tree() -> (Dataset, RegressionTree) {
         let ds = Dataset::paper_example();
-        let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
+        let tree = Fitter::new().max_leaves(4).full(&ds);
         (ds, tree)
     }
 

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use fuzzyphase_regtree::{
     cross_validate, eval_sse_batch, eval_sse_scalar, ColumnarDataset, CrossValidation, Dataset,
-    FitDelta, Fitter, TreeBuilder,
+    FitDelta, Fitter,
 };
 use fuzzyphase_stats::SparseVec;
 use proptest::prelude::*;
@@ -26,7 +26,7 @@ proptest! {
     /// a useless split).
     #[test]
     fn splits_strictly_reduce_sse(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().max_leaves(16).fit(&ds);
+        let tree = Fitter::new().max_leaves(16).full(&ds);
         for k in 2..=tree.num_splits() + 1 {
             prop_assert!(
                 tree.training_sse_k(k) < tree.training_sse_k(k - 1) + 1e-9,
@@ -39,7 +39,7 @@ proptest! {
     /// tree's training MSE is the smallest of all k.
     #[test]
     fn full_tree_is_best_on_training(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().max_leaves(12).fit(&ds);
+        let tree = Fitter::new().max_leaves(12).full(&ds);
         let mse = |k: usize| -> f64 {
             (0..ds.len())
                 .map(|i| {
@@ -74,18 +74,27 @@ proptest! {
         }
     }
 
-    /// The presorted split-entry cache is invisible: [`TreeBuilder::fit`]
-    /// grows exactly the tree the per-node re-sorting reference
-    /// ([`TreeBuilder::fit_rescan`]) grows, on arbitrary sparse data and
-    /// across leaf caps and leaf minima.
+    /// The cached, columnar split search is invisible: [`Fitter::full`]
+    /// grows exactly the tree the scalar oracle ([`Fitter::fit_scalar`])
+    /// grows, bit for bit, on arbitrary sparse data and across leaf caps
+    /// and leaf minima.
     #[test]
     fn cached_split_search_matches_rescan(
         ds in dataset_strategy(),
         cap in 2usize..20,
         min_leaf in 1usize..4,
     ) {
-        let b = TreeBuilder::new().max_leaves(cap).min_leaf(min_leaf);
-        prop_assert_eq!(b.fit(&ds), b.fit_rescan(&ds));
+        let b = Fitter::new().max_leaves(cap).min_leaf(min_leaf);
+        let (fit, oracle) = (b.full(&ds), b.fit_scalar(&ds));
+        prop_assert_eq!(&fit, &oracle);
+        for (a, o) in fit.nodes().iter().zip(oracle.nodes()) {
+            prop_assert_eq!(a.mean.to_bits(), o.mean.to_bits());
+            prop_assert_eq!(a.sse.to_bits(), o.sse.to_bits());
+            prop_assert_eq!(
+                a.split.map(|s| s.threshold.to_bits()),
+                o.split.map(|s| s.threshold.to_bits())
+            );
+        }
     }
 
     /// Fold-parallel cross-validation returns the bit-identical curve to
@@ -151,7 +160,7 @@ proptest! {
         folds in 2usize..6,
         cap in 2usize..16,
     ) {
-        let tree = TreeBuilder::new().max_leaves(cap).fit(&ds);
+        let tree = Fitter::new().max_leaves(cap).full(&ds);
         let k_max = tree.num_splits() + 1;
         let mut merged_batch = vec![0.0f64; k_max];
         let mut merged_scalar = vec![0.0f64; k_max];
@@ -174,9 +183,9 @@ proptest! {
     /// Delta-maintained incremental refits are bit-identical to the
     /// scratch oracle: feeding the rows through an arbitrary schedule
     /// of frame-batch deltas — including empty batches and single-row
-    /// deltas — yields, after every refit, exactly the tree
-    /// [`TreeBuilder::fit`] grows from scratch on the accumulated
-    /// prefix (DESIGN.md D15).
+    /// deltas — yields, after every refit, exactly the tree the scalar
+    /// oracle [`Fitter::fit_scalar`] grows from scratch on the
+    /// accumulated prefix (DESIGN.md D15).
     #[test]
     fn incremental_refit_matches_scratch_oracle(
         ds in dataset_strategy(),
@@ -189,7 +198,7 @@ proptest! {
         batches[0] = batches[0].max(1);
 
         let fitter = Fitter::new().max_leaves(cap).min_leaf(min_leaf);
-        let oracle = TreeBuilder::new().max_leaves(cap).min_leaf(min_leaf);
+
         let mut state = fitter.begin();
         let mut fed = 0usize;
         for b in batches {
@@ -200,7 +209,7 @@ proptest! {
             );
             fed = hi;
             let tree = fitter.incremental(&mut state, &delta);
-            let scratch = oracle.fit(&Dataset::new(
+            let scratch = fitter.fit_scalar(&Dataset::new(
                 ds.rows()[..fed].to_vec(),
                 ds.targets()[..fed].to_vec(),
             ));
@@ -216,7 +225,7 @@ proptest! {
     /// within the training-target range.
     #[test]
     fn predictions_bounded_by_targets(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().fit(&ds);
+        let tree = Fitter::new().full(&ds);
         let lo = ds.targets().iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ds.targets().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for i in 0..ds.len() {

@@ -303,7 +303,7 @@ impl ServeClient {
         }
     }
 
-    /// Receives until the final `Report` (collecting Progress/Refit
+    /// Receives until the final `Report` (collecting Progress/RefitDelta
     /// lines along the way); errors if the server sends `Error` or
     /// closes first.
     pub fn wait_report(&mut self) -> io::Result<(ServerMsg, Vec<ServerMsg>)> {
@@ -327,7 +327,7 @@ impl ServeClient {
             match self.recv()? {
                 msg @ ServerMsg::SuiteReport { .. } => return Ok(msg),
                 ServerMsg::Error { message } => return Err(io::Error::other(message)),
-                // Progress/Refit lines from an in-flight session on the
+                // Progress/RefitDelta lines from an in-flight session on the
                 // same connection may interleave; skip them.
                 _ => continue,
             }
@@ -348,7 +348,7 @@ impl ServeClient {
             match self.recv()? {
                 ServerMsg::Diff { report } => return Ok(report),
                 ServerMsg::Error { message } => return Err(io::Error::other(message)),
-                // Progress/Refit lines from an in-flight session on the
+                // Progress/RefitDelta lines from an in-flight session on the
                 // same connection may interleave; skip them.
                 _ => continue,
             }

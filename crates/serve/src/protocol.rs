@@ -130,22 +130,6 @@ pub enum ServerMsg {
         /// Streaming population variance of per-sample CPI (Welford).
         cpi_variance: f64,
     },
-    /// An interim regression-tree fit over the vectors seen so far.
-    ///
-    /// Legacy (pre-v2.1): v2 daemons now refit incrementally and emit
-    /// the cheap [`ServerMsg::RefitDelta`] summary instead of this
-    /// full-CV report. The variant stays in the wire table so a new
-    /// client still decodes lines from an older daemon.
-    Refit {
-        /// Vectors the fit used.
-        vectors: u64,
-        /// The interim analysis report.
-        report: PredictabilityReport,
-        /// Quadrant under the server's thresholds.
-        quadrant: Quadrant,
-        /// Sampling technique recommendation for that quadrant.
-        recommendation: Recommendation,
-    },
     /// An interim *incremental* refit summary (protocol v2): the
     /// cadenced refit consumed the session's accumulated delta through
     /// the delta-maintained fitter (DESIGN.md D15) instead of refitting

@@ -1442,7 +1442,7 @@ fn finish_session(
     engine: SessionEngine,
     suite_key: String,
 ) {
-    // All interim Refit lines must precede the Report line.
+    // All interim RefitDelta lines must precede the Report line.
     while session.refit_in_flight.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(1));
     }

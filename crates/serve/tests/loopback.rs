@@ -416,3 +416,83 @@ fn deeply_nested_control_frame_gets_an_error_not_an_abort() {
     assert!(server.stats().session_errors >= 1);
     server.shutdown();
 }
+
+/// Runs `f` on its own thread and waits at most `secs` for it, so a
+/// wedged daemon fails the test instead of hanging it. A panic in `f`
+/// is re-raised here.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the worker sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within {secs} s"),
+    }
+}
+
+/// A NaN CPI is malformed input like any other: the frame carrying it
+/// gets `Error` (it must never reach the refit job's `FitDelta`), a
+/// concurrent session's `Report` stays bit-identical, and `shutdown`
+/// returns. Every wait is bounded.
+#[test]
+fn non_finite_cpi_frame_gets_an_error_and_shutdown_returns() {
+    let server = Server::start(tiny_server_cfg()).expect("start");
+    let addr = server.local_addr().to_string();
+    let trace = synth_trace(2_000);
+    let undisturbed = {
+        let (addr, trace) = (addr.clone(), trace.clone());
+        within(60, "the undisturbed session", move || {
+            stream_and_report(&addr, "calm", &trace, 50, 0, 250).0
+        })
+    };
+
+    let mut calm = ServeClient::connect(&addr).expect("connect");
+    calm.hello("calm", 50, 0).expect("hello");
+    calm.stream_trace(&trace[..1_000], 250).expect("stream");
+
+    // The poisoned session refits every 5 vectors. Its NaN frame is the
+    // last thing it sends, so nothing races the daemon's reply.
+    let reply = {
+        let addr = addr.clone();
+        within(30, "the reply to the NaN frame", move || {
+            let good = synth_trace(400);
+            let mut bad = ServeClient::connect(&addr).expect("connect");
+            bad.hello("nan", 50, 5).expect("hello");
+            bad.stream_trace(&good, 100).expect("stream");
+            let mut poisoned = synth_trace(100);
+            poisoned[42].cpi = f64::NAN;
+            bad.send_samples(&poisoned).expect("send");
+            bad.wait_report()
+        })
+    };
+    match reply {
+        Err(e) => assert!(e.to_string().contains("non-finite CPI"), "{e}"),
+        Ok((report, _)) => panic!("expected Error, got {report:?}"),
+    }
+
+    let report = within(60, "the concurrent session", move || {
+        calm.stream_trace(&trace[1_000..], 250).expect("stream");
+        calm.finish().expect("finish");
+        let (report, _) = calm.wait_report().expect("report");
+        calm.close();
+        report
+    });
+    assert_eq!(report, undisturbed);
+    let (ServerMsg::Report { report: a, .. }, ServerMsg::Report { report: b, .. }) =
+        (&report, &undisturbed)
+    else {
+        panic!("expected two Reports");
+    };
+    assert_eq!(a.cpi_variance.to_bits(), b.cpi_variance.to_bits());
+    for (x, y) in a.re_curve.iter().zip(&b.re_curve) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+    assert!(server.stats().session_errors >= 1);
+    within(30, "shutdown", move || server.shutdown());
+}

@@ -6,13 +6,13 @@
 //! ```
 
 use fuzzyphase::prelude::*;
-use fuzzyphase::regtree::{Dataset, TreeBuilder};
+use fuzzyphase::regtree::{Dataset, Fitter};
 
 fn main() {
     // --- Part 1: fit the paper's worked example (Table 1 -> Figure 1) ---
     println!("Part 1: the paper's 8-EIPV example");
     let ds = Dataset::paper_example();
-    let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
+    let tree = Fitter::new().max_leaves(4).full(&ds);
     let root = tree.root().split.expect("root splits");
     println!(
         "  root split: (EIP{}, {}) — the figure's (EIP0, 20)",

@@ -12,9 +12,9 @@
 # is also a hard failure — a silently dropped stage must not pass the
 # gate; a stage missing only from the committed baseline is skipped
 # (the baseline predates the stage).
-# Noisier metrics — aggregate throughput, resume latency, the rescan
-# path — only emit GitHub `::warning::` annotations, so a noisy runner
-# cannot turn the lane red on its own.
+# Noisier metrics — aggregate throughput, resume latency, the scalar
+# oracle paths — only emit GitHub `::warning::` annotations, so a noisy
+# runner cannot turn the lane red on its own.
 #
 # A missing baseline (file not committed at HEAD) skips that file with
 # a note rather than failing: the first run on a new branch has nothing
@@ -91,8 +91,6 @@ else:
          stage_median(base, "fit_incremental"), False),
     ]
     soft = [
-        ("fit_rescan median_ms", stage_median(fresh, "fit_rescan"),
-         stage_median(base, "fit_rescan"), False),
         ("fit_scalar median_ms", stage_median(fresh, "fit_scalar"),
          stage_median(base, "fit_scalar"), False),
         ("sse_scalar median_ms", stage_median(fresh, "sse_scalar"),

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Bench trajectory recorder: appends one JSON line per push — commit
-# SHA, UTC timestamp, `nproc`, the regtree stage medians, and the
-# daemon's headline serve metrics — to a history file that CI restores
+# SHA, UTC timestamp, `nproc`, the regtree stage medians, the daemon's
+# headline serve metrics, and the program's size in non-test Rust lines
+# (`loc`: per crate and in total, counting the lines of every file under
+# `crates/*/src` above its first `#[cfg(test)]`; vendored crates and
+# integration tests are not counted) — to a history file that CI restores
 # from a rolling cache and uploads as the `bench-history` artifact.
 # The trajectory accumulates across pushes instead of each run
 # overwriting the last report.
@@ -22,6 +25,7 @@ mkdir -p "$(dirname "$OUT")"
 
 python3 - "$OUT" "$FRESH_REGTREE" "$FRESH_SERVE" <<'PY'
 import datetime
+import glob
 import json
 import os
 import subprocess
@@ -65,6 +69,26 @@ try:
     }
 except (OSError, ValueError) as e:
     print(f"bench_history: skipping serve metrics: {e}", file=sys.stderr)
+
+def non_test_loc(src):
+    """Lines of every .rs file under `src` above its first #[cfg(test)]."""
+    total = 0
+    for root, _, files in os.walk(src):
+        for name in files:
+            if not name.endswith(".rs"):
+                continue
+            with open(os.path.join(root, name)) as f:
+                for line in f:
+                    if "#[cfg(test)]" in line:
+                        break
+                    total += 1
+    return total
+
+
+loc = {
+    src.split("/")[1]: non_test_loc(src) for src in sorted(glob.glob("crates/*/src"))
+}
+entry["loc"] = {"crates": loc, "total": sum(loc.values())}
 
 lines = []
 if os.path.exists(out_path):

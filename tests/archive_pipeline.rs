@@ -3,9 +3,7 @@
 
 use fuzzyphase::cluster::{choose_k_bic, project};
 use fuzzyphase::prelude::*;
-use fuzzyphase::profiler::{
-    load_trace, read_samples, save_trace, write_samples, write_samples_v2, EipvData,
-};
+use fuzzyphase::profiler::{load_trace, read_samples, save_trace, write_samples_v2, EipvData};
 use fuzzyphase::workload::spec::spec_workload;
 
 fn profile(name: &str, n: usize) -> ProfileData {
@@ -20,32 +18,32 @@ fn profile(name: &str, n: usize) -> ProfileData {
 
 #[test]
 fn binary_archive_reproduces_the_analysis() {
+    // Archive to disk, reload, rebuild EIPVs from the raw samples: the
+    // saved trace carries CPI as f64, so structure and numbers match.
     let data = profile("mcf", 60);
     let direct = analyze(
         &data.eipvs().vectors,
         &data.eipvs().cpis,
         &AnalysisOptions::default(),
     );
-
-    // Archive, reload, rebuild EIPVs from the raw samples.
-    let bytes = write_samples(&data.samples);
-    let samples = read_samples(&bytes).expect("decode");
+    let dir = std::env::temp_dir().join("fuzzyphase-archive-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("mcf.fzph");
+    save_trace(&data.samples, &path).expect("save");
+    let samples = load_trace(&path).expect("load");
+    let _ = std::fs::remove_file(&path);
     let spv = (data.interval_len / data.period) as usize;
     let rebuilt = EipvData::from_samples(&samples, spv);
     let from_archive = analyze(&rebuilt.vectors, &rebuilt.cpis, &AnalysisOptions::default());
 
-    // CPI goes through f32 in the codec: structure identical, numbers
-    // equal to f32 precision.
-    assert_eq!(from_archive.num_vectors, direct.num_vectors);
-    assert_eq!(from_archive.num_features, direct.num_features);
-    assert!((from_archive.re_min - direct.re_min).abs() < 1e-3);
-    assert!((from_archive.cpi_variance - direct.cpi_variance).abs() < 1e-4);
+    assert_eq!(from_archive, direct);
+    assert_eq!(from_archive.re_min.to_bits(), direct.re_min.to_bits());
 }
 
 #[test]
 fn v2_archive_reproduces_the_analysis_bit_for_bit() {
-    // The v2 codec carries CPI as f64, so — unlike the f32 v1 check
-    // above — the archived analysis is *exactly* the direct one.
+    // The v2 codec carries CPI as f64, so the archived analysis is
+    // *exactly* the direct one.
     let data = profile("mcf", 60);
     let direct = analyze(
         &data.eipvs().vectors,
@@ -78,11 +76,15 @@ fn trace_files_roundtrip_on_disk() {
     let path = dir.join("gzip.fzph");
     save_trace(&data.samples, &path).expect("save");
     let loaded = load_trace(&path).expect("load");
+    // The simulated CPIs are ones f32 cannot represent, so the exact
+    // round trip below shows the archive keeps every bit.
+    assert!(data.samples.iter().any(|s| (s.cpi as f32) as f64 != s.cpi));
     assert_eq!(loaded.len(), data.samples.len());
     for (a, b) in loaded.iter().zip(&data.samples) {
         assert_eq!(a.eip, b.eip);
         assert_eq!(a.thread, b.thread);
-        assert!((a.cpi - b.cpi).abs() < 1e-6);
+        assert_eq!(a.is_os, b.is_os);
+        assert_eq!(a.cpi.to_bits(), b.cpi.to_bits());
     }
     // The binary trace is far smaller than the JSON profile archive.
     let json_len = serde_json::to_string(&data.samples).expect("json").len();

@@ -2,7 +2,7 @@
 //! analysis stack.
 
 use fuzzyphase::arch::{Cache, CacheConfig};
-use fuzzyphase::regtree::{Dataset, TreeBuilder};
+use fuzzyphase::regtree::{Dataset, Fitter};
 use fuzzyphase::stats::{variance, KFold, SparseVec, Welford};
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
             .map(SparseVec::from_pairs)
             .collect();
         let ds = Dataset::new(vectors, ys[..n].to_vec());
-        let tree = TreeBuilder::new().max_leaves(8).fit(&ds);
+        let tree = Fitter::new().max_leaves(8).full(&ds);
 
         // Leaf counts partition the dataset.
         let leaf_total: u32 = tree
