@@ -9,14 +9,13 @@
 //! sample stream: delta-encoded EIPs (consecutive samples often hit nearby
 //! code), varint thread ids and `f64` CPIs.
 //!
-//! The frame is version-tagged. The writer emits **v2**, which stores CPI
-//! as `f64`: analysis from a v2 archive (or a v2 stream into the serve
-//! daemon) is bit-identical to analyzing the in-memory samples. The
-//! reader also accepts the original **v1** frames, which store CPI as
-//! `f32` (round-tripping only to ~1e-3), because the daemon still takes
-//! v1 frames from clients. Either way a NaN or infinite CPI is rejected
-//! at decode: no interval CPI can be non-finite, and one would poison
-//! every statistic downstream.
+//! The frame is version-tagged and there is one version, **v2**, which
+//! stores CPI as `f64`: analysis from a v2 archive (or a v2 stream into
+//! the serve daemon) is bit-identical to analyzing the in-memory
+//! samples. Any other version tag, including the retired `f32`-CPI v1,
+//! is rejected. A NaN or infinite CPI is rejected at decode too: no
+//! interval CPI can be non-finite, and one would poison every statistic
+//! downstream.
 //!
 //! ```
 //! use fuzzyphase_profiler::trace::{read_samples, write_samples_v2};
@@ -32,10 +31,7 @@ use std::io;
 
 /// File magic ("FZPH").
 const MAGIC: u32 = 0x465A_5048;
-/// Codec version with `f32` CPIs (the original format; decoded, no
-/// longer written).
-const VERSION_V1: u32 = 1;
-/// Codec version with `f64` CPIs (exact round-trip).
+/// Codec version with `f64` CPIs (exact round-trip), the only one.
 const VERSION_V2: u32 = 2;
 
 /// Appends a LEB128 varint to `buf`. Public because the serve daemon's
@@ -112,9 +108,7 @@ pub fn write_samples_v2(samples: &[Sample]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a v2 sample stream written by [`write_samples_v2`], or a v1
-/// stream (`f32` CPIs); the version tag in the header selects the CPI
-/// width.
+/// Decodes a v2 sample stream written by [`write_samples_v2`].
 ///
 /// # Errors
 ///
@@ -147,22 +141,21 @@ pub fn read_samples_into(mut data: &[u8], out: &mut Vec<Sample>) -> io::Result<(
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
     }
     let version = data.get_u32();
-    if version != VERSION_V1 && version != VERSION_V2 {
+    if version != VERSION_V2 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unsupported trace version {version}"),
         ));
     }
     let count = get_varint(&mut data)? as usize;
-    // Each sample needs at least 1 (eip) + 1 (thread) + 1 (flag) + the
-    // CPI (4 bytes in v1, 8 in v2).
-    if count > data.remaining() {
+    // Each sample needs at least 1 (eip) + 1 (thread) + 1 (flag) + 8
+    // (CPI) bytes, which also bounds what a lying count can reserve.
+    if count > data.remaining() / 11 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "sample count exceeds payload",
         ));
     }
-    let cpi_len = if version == VERSION_V1 { 4 } else { 8 };
     out.reserve(count);
     let mut prev_eip: u64 = 0;
     for _ in 0..count {
@@ -170,18 +163,14 @@ pub fn read_samples_into(mut data: &[u8], out: &mut Vec<Sample>) -> io::Result<(
         let eip = prev_eip.wrapping_add(delta as u64);
         prev_eip = eip;
         let thread = get_varint(&mut data)? as u32;
-        if data.remaining() < 1 + cpi_len {
+        if data.remaining() < 9 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "truncated sample",
             ));
         }
         let is_os = data.get_u8() != 0;
-        let cpi = if version == VERSION_V1 {
-            data.get_f32() as f64
-        } else {
-            data.get_f64()
-        };
+        let cpi = data.get_f64();
         if !cpi.is_finite() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -224,25 +213,6 @@ mod tests {
     use fuzzyphase_stats::seeded_rng;
     use rand::Rng;
 
-    /// A v1 frame (`f32` CPIs) with its header built by hand: nothing
-    /// writes v1 any more, but the daemon still accepts v1 frames, so
-    /// their decode stays pinned.
-    fn v1_frame(samples: &[Sample]) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u32(VERSION_V1);
-        put_varint(&mut buf, samples.len() as u64);
-        let mut prev_eip = 0u64;
-        for s in samples {
-            put_varint(&mut buf, zigzag(s.eip.wrapping_sub(prev_eip) as i64));
-            prev_eip = s.eip;
-            put_varint(&mut buf, s.thread as u64);
-            buf.put_u8(u8::from(s.is_os));
-            buf.put_f32(s.cpi as f32);
-        }
-        buf.freeze()
-    }
-
     fn random_samples(n: usize, seed: u64) -> Vec<Sample> {
         let mut rng = seeded_rng(seed);
         (0..n)
@@ -250,8 +220,7 @@ mod tests {
                 eip: 0x4000_0000 + rng.gen_range(0..100_000u64) * 16,
                 thread: rng.gen_range(0..20),
                 is_os: rng.gen_bool(0.1),
-                // Pre-rounded through f32, so v1 frames round-trip too.
-                cpi: ((rng.gen_range(50..500) as f32) / 100.0) as f64,
+                cpi: rng.gen_range(50..500) as f64 / 100.0,
             })
             .collect()
     }
@@ -288,31 +257,38 @@ mod tests {
 
     #[test]
     fn rejects_truncation() {
-        let samples = random_samples(100, 3);
-        let bytes = v1_frame(&samples);
-        let cut = &bytes[..bytes.len() - 3];
-        assert!(read_samples(cut).is_err());
+        let bytes = write_samples_v2(&random_samples(100, 3));
+        for cut in [0, 3, 7, 9] {
+            assert!(read_samples(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
     fn rejects_overlong_count() {
-        for version in [VERSION_V1, VERSION_V2] {
+        // u64::MAX, and one sample more than the 11-byte minimum allows.
+        for (count, body) in [(u64::MAX, 0), (2, 21)] {
             let mut buf = BytesMut::new();
             buf.put_u32(MAGIC);
-            buf.put_u32(version);
-            put_varint(&mut buf, u64::MAX);
-            assert!(read_samples(&buf.freeze()).is_err());
+            buf.put_u32(VERSION_V2);
+            put_varint(&mut buf, count);
+            buf.put_slice(&[0; 21][..body]);
+            let err = read_samples(&buf.freeze()).expect_err("must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 
     #[test]
     fn rejects_unknown_version() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u32(99);
-        put_varint(&mut buf, 0);
-        let err = read_samples(&buf.freeze()).expect_err("must fail");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // 1 is the retired f32-CPI codec: an empty v1 frame is still
+        // refused by its tag alone.
+        for version in [1, 99] {
+            let mut buf = BytesMut::new();
+            buf.put_u32(MAGIC);
+            buf.put_u32(version);
+            put_varint(&mut buf, 0);
+            let err = read_samples(&buf.freeze()).expect_err("must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]
@@ -332,17 +308,6 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a.cpi.to_bits(), b.cpi.to_bits());
         }
-    }
-
-    #[test]
-    fn v1_frames_still_decode_alongside_v2() {
-        let samples = random_samples(200, 9);
-        let v1 = v1_frame(&samples);
-        let v2 = write_samples_v2(&samples);
-        assert_eq!(read_samples(&v1).expect("v1"), samples);
-        assert_eq!(read_samples(&v2).expect("v2"), samples);
-        // v2 pays exactly 4 extra bytes per sample over v1.
-        assert_eq!(v2.len(), v1.len() + 4 * samples.len());
     }
 
     #[test]
@@ -381,27 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn cpi_precision_is_f32() {
-        let samples = vec![Sample {
-            eip: 1,
-            thread: 0,
-            is_os: false,
-            cpi: 2.123_456_789,
-        }];
-        let back = read_samples(&v1_frame(&samples)).expect("decode");
-        assert!((back[0].cpi - 2.123_456_789).abs() < 1e-6);
-        assert_ne!(back[0].cpi, 2.123_456_789);
-    }
-
-    #[test]
-    fn rejects_non_finite_cpi_in_both_versions() {
+    fn rejects_non_finite_cpi() {
         for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut samples = random_samples(20, 11);
             samples[7].cpi = cpi;
-            for frame in [v1_frame(&samples), write_samples_v2(&samples)] {
-                let err = read_samples(&frame).expect_err("non-finite CPI must not decode");
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cpi}");
-            }
+            let err = read_samples(&write_samples_v2(&samples))
+                .expect_err("non-finite CPI must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cpi}");
         }
     }
 }

@@ -8,7 +8,7 @@
 //! Offline mode replays two archived spool session directories through
 //! the same `EipvBuilder` path the daemon ingests with, fits the
 //! discriminant tree and prints the [`DiffReport`] as one JSON line.
-//! Daemon mode sends a protocol-v2 `Diff` request; each side is a
+//! Daemon mode sends a `Diff` request; each side is a
 //! resume token or a spool session directory path on the daemon's
 //! host. Both modes print the same bytes for the same two spools —
 //! that equality is pinned by the serve crate's loopback tests and the

@@ -4,16 +4,10 @@
 //! background thread reads JSON lines and forwards every [`ServerMsg`]
 //! through an in-process channel. `Pause`/`Resume` are additionally
 //! latched into a flag the send path checks, so a cooperative sender
-//! stalls exactly while the server asked it to. Tests, the
-//! `serve_client` example and the `loadgen` bench all drive the daemon
-//! through this type.
-//!
-//! Two messages never reach [`recv`](ServeClient::recv): the server's
-//! `Welcome` greeting is latched so [`hello`](ServeClient::hello) can
-//! negotiate a protocol version without changing what callers observe,
-//! and unknown lines from a newer-minor-version server are counted and
-//! skipped ([`unknown_seen`](ServeClient::unknown_seen)) rather than
-//! killing the reader.
+//! stalls exactly while the server asked it to. A reply line the client
+//! cannot parse ends the reader, and [`recv`](ServeClient::recv) then
+//! reports the connection closed. Tests, the `serve_client` example and
+//! the `loadgen` bench all drive the daemon through this type.
 //!
 //! Reconnecting after a crash or disconnect is
 //! [`hello_resume`](ServeClient::hello_resume): present the token the
@@ -21,26 +15,16 @@
 //! mark, retransmit everything after it.
 
 use crate::framing::{write_frame, FRAME_CONTROL, FRAME_SAMPLES};
-use crate::protocol::{
-    encode_control, negotiate, read_msg_lenient, ClientControl, ServerMsg, SUPPORTED_PROTOCOLS,
-};
+use crate::protocol::{encode_control, read_msg, ClientControl, ServerMsg, PROTOCOL_VERSION};
 use crossbeam::channel::{unbounded, Receiver};
 use fuzzyphase_profiler::trace::write_samples_v2;
 use fuzzyphase_profiler::Sample;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// The latched `Welcome` greeting: the version list the server
-/// advertises, filled in by the reader thread.
-#[derive(Default)]
-struct WelcomeLatch {
-    versions: Mutex<Option<Vec<u32>>>,
-    arrived: Condvar,
-}
 
 /// A connected client. One per session/connection.
 pub struct ServeClient {
@@ -48,11 +32,8 @@ pub struct ServeClient {
     rx: Receiver<ServerMsg>,
     paused: Arc<AtomicBool>,
     pauses_seen: Arc<AtomicU64>,
-    unknown_seen: Arc<AtomicU64>,
-    welcome: Arc<WelcomeLatch>,
     resume_token: Option<String>,
     last_seq: u64,
-    protocol: Option<u32>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -64,52 +45,24 @@ impl ServeClient {
         let (tx, rx) = unbounded();
         let paused = Arc::new(AtomicBool::new(false));
         let pauses_seen = Arc::new(AtomicU64::new(0));
-        let unknown_seen = Arc::new(AtomicU64::new(0));
-        let welcome = Arc::new(WelcomeLatch::default());
         let reader = {
             let paused = Arc::clone(&paused);
             let pauses_seen = Arc::clone(&pauses_seen);
-            let unknown_seen = Arc::clone(&unknown_seen);
-            let welcome = Arc::clone(&welcome);
             std::thread::Builder::new()
                 .name("serve-client-reader".into())
                 .spawn(move || {
                     let mut r = BufReader::new(read_half);
-                    loop {
-                        match read_msg_lenient(&mut r) {
-                            Ok(Some(Some(msg))) => {
-                                match &msg {
-                                    ServerMsg::Welcome { versions } => {
-                                        // Latched, never forwarded: the
-                                        // greeting is connection plumbing,
-                                        // not session traffic.
-                                        // Notify *while holding* the lock:
-                                        // notifying after releasing it can
-                                        // race a waiter between its predicate
-                                        // check and its sleep (lost wakeup).
-                                        if let Ok(mut slot) = welcome.versions.lock() {
-                                            *slot = Some(versions.clone());
-                                            welcome.arrived.notify_all();
-                                        }
-                                        continue;
-                                    }
-                                    ServerMsg::Pause => {
-                                        pauses_seen.fetch_add(1, Ordering::SeqCst);
-                                        paused.store(true, Ordering::SeqCst);
-                                    }
-                                    ServerMsg::Resume => paused.store(false, Ordering::SeqCst),
-                                    _ => {}
-                                }
-                                if tx.send(msg).is_err() {
-                                    break;
-                                }
+                    while let Ok(Some(msg)) = read_msg(&mut r) {
+                        match &msg {
+                            ServerMsg::Pause => {
+                                pauses_seen.fetch_add(1, Ordering::SeqCst);
+                                paused.store(true, Ordering::SeqCst);
                             }
-                            // A line from a newer server minor version:
-                            // count it, keep reading.
-                            Ok(Some(None)) => {
-                                unknown_seen.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok(None) | Err(_) => break,
+                            ServerMsg::Resume => paused.store(false, Ordering::SeqCst),
+                            _ => {}
+                        }
+                        if tx.send(msg).is_err() {
+                            break;
                         }
                     }
                     // The connection is gone: nothing can lift a pause
@@ -124,11 +77,8 @@ impl ServeClient {
             rx,
             paused,
             pauses_seen,
-            unknown_seen,
-            welcome,
             resume_token: None,
             last_seq: 0,
-            protocol: None,
             reader: Some(reader),
         })
     }
@@ -140,24 +90,6 @@ impl ServeClient {
         self.stream.flush()
     }
 
-    /// Waits (bounded) for the server's `Welcome` greeting. `None`
-    /// means no greeting arrived — a v1 server, which never sends one.
-    fn await_welcome(&self, timeout: Duration) -> Option<Vec<u32>> {
-        let Ok(mut versions) = self.welcome.versions.lock() else {
-            return None;
-        };
-        // Condvar waits wake spuriously: loop on the predicate, and let
-        // the wait's own timeout verdict bound the retries.
-        while versions.is_none() {
-            let (guard, res) = self.welcome.arrived.wait_timeout(versions, timeout).ok()?;
-            versions = guard;
-            if res.timed_out() {
-                break;
-            }
-        }
-        versions.clone()
-    }
-
     fn hello_inner(
         &mut self,
         name: &str,
@@ -165,38 +97,21 @@ impl ServeClient {
         refit_every: usize,
         resume: Option<String>,
     ) -> io::Result<ServerMsg> {
-        // Negotiate: highest version both sides speak. No greeting in
-        // time means a v1 server — send a version-free v1 Hello.
-        let protocol = match self.await_welcome(Duration::from_millis(1000)) {
-            Some(versions) => Some(negotiate(&versions, SUPPORTED_PROTOCOLS).ok_or_else(|| {
-                io::Error::other(format!(
-                    "no mutual protocol version: server speaks {versions:?}, client speaks {SUPPORTED_PROTOCOLS:?}"
-                ))
-            })?),
-            None => None,
-        };
-        if resume.is_some() && protocol.map_or(true, |p| p < 2) {
-            return Err(io::Error::other(
-                "server does not speak protocol v2; sessions cannot be resumed",
-            ));
-        }
         self.send_control(&ClientControl::Hello {
             name: name.to_string(),
             spv,
             refit_every,
-            protocol,
+            protocol: PROTOCOL_VERSION,
             resume,
         })?;
         match self.recv()? {
             msg @ ServerMsg::Hello { .. } => {
                 if let ServerMsg::Hello {
-                    protocol,
                     resume_token,
                     last_seq,
                     ..
                 } = &msg
                 {
-                    self.protocol = Some(*protocol);
                     self.resume_token = resume_token.clone();
                     self.last_seq = *last_seq;
                 }
@@ -237,11 +152,6 @@ impl ServeClient {
     /// The durable frame high-water mark the last `Hello` reported.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
-    }
-
-    /// The protocol version the last `Hello` settled on.
-    pub fn protocol(&self) -> Option<u32> {
-        self.protocol
     }
 
     /// Encodes one batch as a v2 trace frame and sends it, stalling
@@ -335,7 +245,7 @@ impl ServeClient {
     }
 
     /// Requests a differential analysis between two sessions: each side
-    /// is a v2 resume token or a path to an archived spool session
+    /// is a resume token or a path to an archived spool session
     /// directory on the daemon's host. Blocks for the
     /// [`fuzzyphase_diff::DiffReport`]; the server's refusal (unknown
     /// token, unreadable spool, empty side) comes back as an error.
@@ -358,16 +268,6 @@ impl ServeClient {
     /// How many `Pause` lines the server has sent this connection.
     pub fn pauses_seen(&self) -> u64 {
         self.pauses_seen.load(Ordering::SeqCst)
-    }
-
-    /// How many unknown (newer-version) server lines were skipped.
-    pub fn unknown_seen(&self) -> u64 {
-        self.unknown_seen.load(Ordering::SeqCst)
-    }
-
-    /// Whether the server currently has us paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused.load(Ordering::SeqCst)
     }
 
     /// Closes the write side and joins the reader thread (draining any

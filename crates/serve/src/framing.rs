@@ -10,9 +10,9 @@
 //!
 //! The length prefix makes the layer self-describing, so frames of a
 //! kind this build does not know still parse: `read_frame` returns
-//! them and the caller decides (the server skips and counts them,
-//! keeping newer-minor-version clients compatible). The `max_len`
-//! bound applies to every kind, known or not.
+//! them and the caller decides (the server answers them with `Error`
+//! and closes the connection). The `max_len` bound applies to every
+//! kind, known or not.
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::io::{self, Read, Write};
@@ -45,7 +45,7 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<
 /// Returns `Ok(None)` on EOF at a frame boundary; errors on EOF inside
 /// a frame and on an oversized length prefix (the payload is never
 /// allocated in that case). Unknown kinds are returned, not rejected —
-/// the caller chooses whether to skip or fail.
+/// the caller decides what to do with them.
 pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;

@@ -3,16 +3,15 @@
 //! The paper's workflow is batch: profile a workload, build EIPVs, fit
 //! the regression tree, classify the quadrant. This crate turns that
 //! into a long-running daemon (`fuzzyphased`): clients open a TCP
-//! connection, stream the binary sample codec
-//! ([`fuzzyphase_profiler::trace`], v1 or v2) in length-prefixed
-//! frames, and get newline-delimited JSON back — streaming CPI
-//! statistics per batch, interim regression-tree refits on a cadence,
-//! and a final [`PredictabilityReport`] + quadrant that is bit-for-bit
-//! what the offline `analyze` produces on the same trace. That
-//! equality is by construction, not luck: the daemon accumulates
-//! vectors through the same [`EipvBuilder`] the offline
-//! `EipvData::from_samples` uses, and the v2 codec carries CPIs as
-//! exact `f64` bits.
+//! connection, stream the binary v2 sample codec
+//! ([`fuzzyphase_profiler::trace`]) in length-prefixed frames, and get
+//! newline-delimited JSON back — streaming CPI statistics per batch,
+//! interim regression-tree refits on a cadence, and a final
+//! [`PredictabilityReport`] + quadrant that is bit-for-bit what the
+//! offline `analyze` produces on the same trace. That equality is by
+//! construction, not luck: the daemon accumulates vectors through the
+//! same [`EipvBuilder`] the offline `EipvData::from_samples` uses, and
+//! the codec carries CPIs as exact `f64` bits.
 //!
 //! Production concerns are first-class: bounded per-session ingest
 //! queues with explicit `Pause`/`Resume` backpressure, a shared
@@ -62,7 +61,7 @@ pub mod spool;
 pub use client::ServeClient;
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use metrics::{Metrics, StatsSnapshot};
-pub use protocol::{ClientControl, ServerMsg, PROTOCOL_VERSION, SUPPORTED_PROTOCOLS};
+pub use protocol::{ClientControl, ServerMsg, PROTOCOL_VERSION};
 pub use recovery::{recover_all, RecoveredSession, RecoveryStats};
 pub use scheduler::Scheduler;
 pub use server::{shard_for_token, Server, ServerConfig};

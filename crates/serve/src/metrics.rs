@@ -32,7 +32,6 @@ pub struct Metrics {
     sessions_resumed: AtomicU64,
     frames_replayed: AtomicU64,
     torn_records: AtomicU64,
-    unknown_skipped: AtomicU64,
     suite_reports_sent: AtomicU64,
 }
 
@@ -143,12 +142,6 @@ impl Metrics {
         self.sessions_resumed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an unknown (newer-minor-version) frame or control
-    /// message skipped rather than rejected.
-    pub fn unknown_skip(&self) {
-        self.unknown_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a cross-shard suite report delivered.
     pub fn suite_report_sent(&self) {
         self.suite_reports_sent.fetch_add(1, Ordering::Relaxed);
@@ -179,7 +172,6 @@ impl Metrics {
             sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
             frames_replayed: self.frames_replayed.load(Ordering::Relaxed),
             torn_records: self.torn_records.load(Ordering::Relaxed),
-            unknown_skipped: self.unknown_skipped.load(Ordering::Relaxed),
             suite_reports_sent: self.suite_reports_sent.load(Ordering::Relaxed),
         }
     }
@@ -232,8 +224,6 @@ pub struct StatsSnapshot {
     pub frames_replayed: u64,
     /// Torn spool records found (each marks a truncation point).
     pub torn_records: u64,
-    /// Unknown newer-version frames/messages skipped.
-    pub unknown_skipped: u64,
     /// Cross-shard suite reports delivered.
     pub suite_reports_sent: u64,
 }
@@ -266,7 +256,6 @@ mod tests {
         m.compaction_run();
         m.recovery(2, 9, 1);
         m.session_resumed();
-        m.unknown_skip();
         m.suite_report_sent();
         let s = m.snapshot();
         assert_eq!(s.sessions_served, 2);
@@ -291,7 +280,6 @@ mod tests {
         assert_eq!(s.sessions_resumed, 1);
         assert_eq!(s.frames_replayed, 9);
         assert_eq!(s.torn_records, 1);
-        assert_eq!(s.unknown_skipped, 1);
         assert_eq!(s.suite_reports_sent, 1);
     }
 

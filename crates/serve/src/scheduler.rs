@@ -13,10 +13,34 @@
 use crate::metrics::Metrics;
 use crossbeam::channel::{self, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A claimed in-flight latch: a "one job of this kind at a time" flag,
+/// set by [`InFlight::claim`] and cleared when the guard drops. Moved
+/// into the job closure, the guard clears the latch when the job
+/// returns, when it panics (the pool catches the unwind, which drops
+/// the closure's captures) and when the pool refuses the job and drops
+/// it unrun, so a thread waiting for the latch to clear cannot spin
+/// forever.
+pub(crate) struct InFlight(Arc<AtomicBool>);
+
+impl InFlight {
+    /// Sets `latch` and returns its guard, or `None` when the latch was
+    /// already set (a job is in flight).
+    pub(crate) fn claim(latch: &Arc<AtomicBool>) -> Option<Self> {
+        (!latch.swap(true, Ordering::SeqCst)).then(|| Self(Arc::clone(latch)))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
 
 /// A fixed-width pool draining a bounded job queue.
 #[derive(Debug)]
@@ -108,7 +132,7 @@ impl Drop for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn runs_every_submitted_job_before_shutdown() {
@@ -164,6 +188,31 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("the job finished dropping the pool");
         assert_eq!(metrics.snapshot().session_errors, 0);
+    }
+
+    #[test]
+    fn a_panicking_or_refused_job_still_clears_its_latch() {
+        let metrics = Arc::new(Metrics::new());
+        let mut pool = Scheduler::new(1, 4, Arc::clone(&metrics));
+        let latch = Arc::new(AtomicBool::new(false));
+        let guard = InFlight::claim(&latch).expect("the latch starts clear");
+        assert!(
+            InFlight::claim(&latch).is_none(),
+            "a second claim coalesces"
+        );
+        assert!(pool.submit(&metrics, move || {
+            let _guard = guard;
+            panic!("the job dies holding the latch");
+        }));
+        pool.close_and_join();
+        assert!(!latch.load(Ordering::SeqCst));
+        assert_eq!(metrics.snapshot().session_errors, 1);
+
+        // The pool is closed now: the refused job is dropped unrun, and
+        // its guard with it.
+        let guard = InFlight::claim(&latch).expect("the latch was cleared");
+        assert!(!pool.submit(&metrics, move || drop(guard)));
+        assert!(!latch.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -27,11 +27,9 @@
 use crate::clock::{Clock, SystemClock};
 use crate::framing::{read_frame, FRAME_CONTROL, FRAME_SAMPLES};
 use crate::metrics::{Metrics, StatsSnapshot};
-use crate::protocol::{
-    decode_control_lenient, write_msg, ClientControl, ServerMsg, SUPPORTED_PROTOCOLS,
-};
+use crate::protocol::{decode_control, write_msg, ClientControl, ServerMsg, PROTOCOL_VERSION};
 use crate::recovery::{recover_session, RecoveredSession};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{InFlight, Scheduler};
 use crate::session::{SessionConfig, SessionEngine};
 use crate::spool::{compact_session, SessionMeta, SessionSpool, SpoolConfig};
 use fuzzyphase::{merge_partials, AnalysisRequest, SessionPartial, WorkerBudget};
@@ -242,10 +240,12 @@ struct SessionShared {
     paused: AtomicBool,
     dead: AtomicBool,
     expired: AtomicBool,
-    refit_in_flight: AtomicBool,
+    /// Set while a refit job is queued or running; see [`InFlight`].
+    refit_in_flight: Arc<AtomicBool>,
     /// Incremental-refit state; see [`RefitState`].
     refit: Mutex<RefitState>,
-    compaction_in_flight: AtomicBool,
+    /// Set while a compaction job is queued or running.
+    compaction_in_flight: Arc<AtomicBool>,
     /// Set once the final `Report` went out — the reader's cue to
     /// delete the session's spool at teardown.
     completed: AtomicBool,
@@ -261,9 +261,9 @@ impl SessionShared {
             paused: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             expired: AtomicBool::new(false),
-            refit_in_flight: AtomicBool::new(false),
+            refit_in_flight: Arc::new(AtomicBool::new(false)),
             refit: Mutex::new(RefitState::default()),
-            compaction_in_flight: AtomicBool::new(false),
+            compaction_in_flight: Arc::new(AtomicBool::new(false)),
             completed: AtomicBool::new(false),
             last_activity: AtomicU64::new(now),
         }
@@ -501,15 +501,6 @@ impl Server {
             .collect()
     }
 
-    /// Finished-session suite partials per shard, in shard order.
-    pub fn shard_partials(&self) -> Vec<usize> {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.partials.lock().len())
-            .collect()
-    }
-
     /// Enters draining: running sessions continue, new connections are
     /// refused with an `Error` line.
     pub fn begin_shutdown(&self) {
@@ -661,12 +652,6 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
         shared.clock.now_millis(),
     ));
 
-    // Greet with the protocol versions this daemon speaks; the client
-    // picks one in `Hello`. v1 clients simply never read the line.
-    let _ = session.send(&ServerMsg::Welcome {
-        versions: SUPPORTED_PROTOCOLS.to_vec(),
-    });
-
     let mut registered: Option<OpenedSession> = None;
     let mut session_bytes: u64 = 0;
 
@@ -698,14 +683,8 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
 
         match frame {
             (FRAME_CONTROL, payload) => {
-                let ctl = match decode_control_lenient(&payload) {
-                    Ok(Some(c)) => c,
-                    Ok(None) => {
-                        // A control request from a newer minor version:
-                        // skip it, stay in session.
-                        shared.metrics.unknown_skip();
-                        continue;
-                    }
+                let ctl = match decode_control(&payload) {
+                    Ok(c) => c,
                     Err(e) => {
                         session.send_error(&shared.metrics, format!("bad control frame: {e}"));
                         break;
@@ -836,10 +815,10 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
                 }
                 shared.metrics.observe_ingest_depth(opened.tx.len() as u64);
             }
-            // A frame kind from a newer minor version: skip it, count
-            // it, stay in session — the length prefix already advanced
-            // the stream past it.
-            _ => shared.metrics.unknown_skip(),
+            (kind, _) => {
+                session.send_error(&shared.metrics, format!("unknown frame kind {kind}"));
+                break;
+            }
         }
     }
 
@@ -915,7 +894,7 @@ fn suite_report(shared: &Arc<Shared>) -> Result<ServerMsg, String> {
     })
 }
 
-/// Resolves one `Diff` side — a v2 resume token or a path to a spool
+/// Resolves one `Diff` side — a resume token or a path to a spool
 /// session directory — to its canonical label (the session token) and
 /// replayed EIPV data. Read-only: finished partials and recovered
 /// sessions are cloned without consuming their resume entries, and
@@ -981,32 +960,22 @@ fn diff_report(shared: &Arc<Shared>, a: &str, b: &str) -> Result<ServerMsg, Stri
 }
 
 /// Queues a compaction pass for one session's spool on its shard's
-/// analysis pool, at most one in flight per session.
-fn schedule_compaction(
-    shared: &Arc<Shared>,
-    shard: usize,
-    session: &Arc<SessionShared>,
-    dir: &Path,
-) {
-    if session.compaction_in_flight.swap(true, Ordering::SeqCst) {
+/// analysis pool, at most one in flight per session. The job owns the
+/// `compaction_in_flight` latch, as in [`submit_refit`].
+fn schedule_compaction(shared: &Arc<Shared>, shard: usize, session: &SessionShared, dir: &Path) {
+    let Some(latch) = InFlight::claim(&session.compaction_in_flight) else {
         return;
-    }
+    };
     let dir = dir.to_path_buf();
     let job_shared = Arc::clone(shared);
-    let job_session = Arc::clone(session);
-    let queued = shared.shards[shard]
+    shared.shards[shard]
         .scheduler
         .submit(&shared.metrics, move || {
             if let Ok(Some(_)) = compact_session(&dir) {
                 job_shared.metrics.compaction_run();
             }
-            job_session
-                .compaction_in_flight
-                .store(false, Ordering::SeqCst);
+            drop(latch);
         });
-    if !queued {
-        session.compaction_in_flight.store(false, Ordering::SeqCst);
-    }
 }
 
 /// Where a resumable session's spool directory actually lives. The
@@ -1058,7 +1027,7 @@ fn open_session(
     name: &str,
     spv: usize,
     refit_every: usize,
-    protocol: Option<u32>,
+    protocol: u32,
     resume: Option<String>,
 ) -> Result<(OpenedSession, u64), String> {
     if spv == 0 {
@@ -1073,18 +1042,11 @@ fn open_session(
     } else {
         shared.cfg.request.refit_every()
     };
-    // A missing version field is a v1 client (the field did not exist
-    // in v1); anything else must be a version this daemon advertises.
-    let proto = protocol.unwrap_or(1);
-    if !SUPPORTED_PROTOCOLS.contains(&proto) {
+    if protocol != PROTOCOL_VERSION {
         shared.metrics.session_error();
         return Err(format!(
-            "unsupported protocol version {proto} (daemon speaks {SUPPORTED_PROTOCOLS:?})"
+            "unsupported protocol version {protocol} (daemon speaks {PROTOCOL_VERSION})"
         ));
-    }
-    if resume.is_some() && proto < 2 {
-        shared.metrics.session_error();
-        return Err("session resume requires protocol version 2".to_string());
     }
     // Resume: route by token (a pure hash, so the reconnect lands on
     // the shard that owns the session), claim the token on that shard,
@@ -1228,7 +1190,7 @@ fn open_session(
                 name: name.to_string(),
                 spv,
                 refit_every,
-                protocol: proto,
+                protocol,
             };
             match SessionSpool::create(spool_cfg, meta) {
                 Ok(s) => (SessionEngine::new(scfg), Some(s), Some(token), 0, 0),
@@ -1244,7 +1206,6 @@ fn open_session(
 
     let hello = ServerMsg::Hello {
         session: id,
-        protocol: proto,
         spv,
         refit_every,
         resume_token: token.clone(),
@@ -1343,10 +1304,9 @@ fn engine_thread(
                     let _ = session.send_resume_if_paused();
                 }
                 if engine.refit_due() {
-                    if session.refit_in_flight.swap(true, Ordering::SeqCst) {
-                        shared.metrics.refit_coalesced();
-                    } else {
-                        submit_refit(&shared, shard, &session, &mut engine);
+                    match InFlight::claim(&session.refit_in_flight) {
+                        Some(latch) => submit_refit(&shared, shard, &session, &mut engine, latch),
+                        None => shared.metrics.refit_coalesced(),
                     }
                 }
             }
@@ -1370,11 +1330,15 @@ fn engine_thread(
 /// `FitState`, so its "delta" is the whole accumulated prefix — which
 /// by the D15 soundness argument produces exactly the tree a scratch
 /// fit of that prefix would, the property the recovery tests pin.
+///
+/// The job owns `latch`, so `refit_in_flight` clears however the job
+/// ends, or when the stopping pool drops it unrun.
 fn submit_refit(
     shared: &Arc<Shared>,
     shard: usize,
     session: &Arc<SessionShared>,
     engine: &mut SessionEngine,
+    latch: InFlight,
 ) {
     let absorbed = session
         .refit
@@ -1387,7 +1351,7 @@ fn submit_refit(
     let cfg = *engine.config();
     let job_shared = Arc::clone(shared);
     let job_session = Arc::clone(session);
-    let queued = shared.shards[shard]
+    shared.shards[shard]
         .scheduler
         .submit(&shared.metrics, move || {
             // Same tree parameters the final fit's CV folds use.
@@ -1423,13 +1387,10 @@ fn submit_refit(
             };
             job_shared.metrics.refit_run();
             let _ = job_session.send(&msg);
-            job_session.refit_in_flight.store(false, Ordering::SeqCst);
+            // Only now, with the RefitDelta on the wire, may
+            // `finish_session` go on to send the Report.
+            drop(latch);
         });
-    if !queued {
-        // Daemon is stopping: the job never ran, so clear the latch
-        // ourselves or `finish_session` would wait on it forever.
-        session.refit_in_flight.store(false, Ordering::SeqCst);
-    }
 }
 
 /// Runs the final fit on the shard's pool (so a burst of finishing

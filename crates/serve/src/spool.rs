@@ -40,7 +40,6 @@
 //! strictly-next one, so duplicated or stale records (a client
 //! retransmitting after resume) are skipped, never double-counted.
 
-use crate::session::SessionConfig;
 use bytes::{Buf, BufMut, BytesMut};
 use fuzzyphase_profiler::trace::{
     get_varint, put_varint, read_samples, read_samples_into, write_samples_v2,
@@ -105,7 +104,7 @@ pub struct SessionMeta {
     pub spv: usize,
     /// Refit cadence in completed vectors.
     pub refit_every: usize,
-    /// Negotiated protocol version of the original session.
+    /// Protocol version of the original session.
     pub protocol: u32,
 }
 
@@ -337,95 +336,49 @@ impl SessionSpool {
         })
     }
 
-    /// Reopens the spool of a recovered session for appending, picking
-    /// up where [`recover_session_dir`] left off: the active segment is
-    /// reopened with its torn tail truncated, or — for a snapshot-only
-    /// directory — a fresh segment starts. The frame sequence continues
-    /// from the recovered high-water mark.
-    pub fn resume(cfg: &SpoolConfig, recovered: &RecoveredSpool) -> io::Result<Self> {
-        let dir = cfg.dir.join(&recovered.state.meta.token);
-        Self::resume_in(dir, cfg, recovered)
-    }
-
-    /// Like [`resume`](Self::resume), but appends into an explicit
-    /// session directory instead of recomputing `cfg.dir/<token>`. The
-    /// sharded daemon needs this: after a restart with a different
-    /// `--shards` count, a recovered spool may live under a shard
-    /// subdirectory the current hash no longer maps its token to — the
-    /// resume must reopen the segments where they actually are.
+    /// Reopens the spool of a recovered session for appending in its
+    /// session directory `dir`, picking up where
+    /// [`recover_session_dir`] left off: the active segment is reopened
+    /// with its torn tail truncated, or — for a snapshot-only directory
+    /// — a fresh segment starts. The frame sequence continues from the
+    /// recovered high-water mark.
+    ///
+    /// `dir` is explicit rather than `cfg.dir/<token>` because after a
+    /// restart with a different `--shards` count, a recovered spool may
+    /// live under a shard subdirectory the current hash no longer maps
+    /// its token to; the resume must reopen the segments where they
+    /// actually are.
     pub fn resume_in(
         dir: PathBuf,
         cfg: &SpoolConfig,
         recovered: &RecoveredSpool,
     ) -> io::Result<Self> {
-        match recovered.active_segment {
-            Some((index, valid_len)) => Self::reopen_in(
-                dir,
-                cfg,
-                recovered.state.meta.clone(),
-                index,
-                valid_len,
-                recovered.state.frames,
-            ),
+        let meta = recovered.state.meta.clone();
+        let (file, seg_index, seg_len) = match recovered.active_segment {
+            Some((index, valid_len)) => {
+                let path = dir.join(segment_name(index));
+                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+                file.set_len(valid_len)?;
+                file.seek(SeekFrom::End(0))?;
+                (file, index, valid_len)
+            }
             None => {
                 std::fs::create_dir_all(&dir)?;
-                let (file, seg_len) = open_segment_file(&dir, &recovered.state.meta, 0)?;
+                let (file, seg_len) = open_segment_file(&dir, &meta, 0)?;
                 fsync_dir(&dir);
-                Ok(Self {
-                    dir,
-                    meta: recovered.state.meta.clone(),
-                    segment_bytes: cfg.segment_bytes.max(1),
-                    fsync_every: cfg.fsync_every,
-                    file,
-                    seg_index: 0,
-                    seg_len,
-                    unsynced: 0,
-                    last_seq: recovered.state.frames,
-                })
+                (file, 0, seg_len)
             }
-        }
-    }
-
-    /// Reopens a recovered session's spool for appending: truncates the
-    /// torn tail of the active segment (if any) and continues the frame
-    /// sequence from `last_seq`.
-    pub fn reopen(
-        cfg: &SpoolConfig,
-        meta: SessionMeta,
-        active_segment: u64,
-        valid_len: u64,
-        last_seq: u64,
-    ) -> io::Result<Self> {
-        let dir = cfg.dir.join(&meta.token);
-        Self::reopen_in(dir, cfg, meta, active_segment, valid_len, last_seq)
-    }
-
-    /// [`reopen`](Self::reopen) with an explicit session directory (see
-    /// [`resume_in`](Self::resume_in) for why shard-aware recovery needs
-    /// one).
-    pub fn reopen_in(
-        dir: PathBuf,
-        cfg: &SpoolConfig,
-        meta: SessionMeta,
-        active_segment: u64,
-        valid_len: u64,
-        last_seq: u64,
-    ) -> io::Result<Self> {
-        let path = dir.join(segment_name(active_segment));
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
+        };
         Ok(Self {
             dir,
             meta,
             segment_bytes: cfg.segment_bytes.max(1),
             fsync_every: cfg.fsync_every,
             file,
-            seg_index: active_segment,
-            seg_len: valid_len,
+            seg_index,
+            seg_len,
             unsynced: 0,
-            last_seq,
+            last_seq: recovered.state.frames,
         })
     }
 
@@ -486,11 +439,6 @@ impl SessionSpool {
     /// The session metadata the spool was opened with.
     pub fn meta(&self) -> &SessionMeta {
         &self.meta
-    }
-
-    /// Index of the active (highest) segment.
-    pub fn segment_index(&self) -> u64 {
-        self.seg_index
     }
 }
 
@@ -570,16 +518,6 @@ impl ReplayState {
         self.bytes += payload.len() as u64;
         self.frames = seq;
         Ok(true)
-    }
-
-    /// The session config this state runs under, given the server-wide
-    /// analysis defaults.
-    pub fn session_config(&self, base: &SessionConfig) -> SessionConfig {
-        SessionConfig {
-            spv: self.meta.spv,
-            refit_every: self.meta.refit_every,
-            ..*base
-        }
     }
 }
 
@@ -799,9 +737,9 @@ pub fn replay_segment(path: &Path, state: &mut ReplayState) -> io::Result<Segmen
                             out.frames_skipped += 1;
                         }
                     }
-                    // Unknown record kinds from a newer spool writer
-                    // are skipped, mirroring the wire protocol's
-                    // lenient stance.
+                    // A checksum-valid record of another kind carries
+                    // nothing replay needs (snapshot records live in
+                    // their own files), so it is stepped over.
                     _ => {}
                 }
                 out.valid_len += consumed as u64;
@@ -1168,7 +1106,7 @@ mod tests {
 
         // Resume over the torn tail: reopen truncates, appends continue
         // the sequence, and a second recovery sees a clean log.
-        let mut resumed = SessionSpool::resume(&cfg, &rec).expect("resume");
+        let mut resumed = SessionSpool::resume_in(root.join("sess-2"), &cfg, &rec).expect("resume");
         resumed
             .append_frame(&write_samples_v2(&samples[40..]))
             .expect("append");

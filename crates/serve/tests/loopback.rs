@@ -391,11 +391,7 @@ fn deeply_nested_control_frame_gets_an_error_not_an_abort() {
     let mut hostile = TcpStream::connect(&addr).expect("connect");
     write_frame(&mut hostile, FRAME_CONTROL, &[b'['; 150_000]).expect("send");
     let mut replies = BufReader::new(hostile);
-    let mut reply = read_msg(&mut replies).expect("a reply, not a dropped socket");
-    if matches!(reply, Some(ServerMsg::Welcome { .. })) {
-        reply = read_msg(&mut replies).expect("a reply, not a dropped socket");
-    }
-    match reply {
+    match read_msg(&mut replies).expect("a reply, not a dropped socket") {
         Some(ServerMsg::Error { message }) => {
             assert!(message.contains("recursion limit"), "{message}")
         }
@@ -494,5 +490,148 @@ fn non_finite_cpi_frame_gets_an_error_and_shutdown_returns() {
         assert_eq!(x.to_bits(), y.to_bits());
     }
     assert!(server.stats().session_errors >= 1);
+    within(30, "shutdown", move || server.shutdown());
+}
+
+/// Raw frames for one connection: (kind, payload).
+type Frames = Vec<(u8, Vec<u8>)>;
+
+/// Opens a raw connection, writes `frames`, and collects every reply
+/// line until the daemon closes the socket.
+fn raw_exchange(addr: &str, frames: &Frames) -> Vec<ServerMsg> {
+    use fuzzyphase_serve::framing::write_frame;
+    use fuzzyphase_serve::protocol::read_msg;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    for (kind, payload) in frames {
+        write_frame(&mut sock, *kind, payload).expect("send");
+    }
+    let mut replies = BufReader::new(sock);
+    let mut seen = Vec::new();
+    while let Ok(Some(msg)) = read_msg(&mut replies) {
+        seen.push(msg);
+    }
+    seen
+}
+
+/// The daemon speaks one protocol and one trace codec. A `Hello`
+/// without a version, a `Hello` for protocol 1, an unknown control
+/// type, a frame of unknown kind 7 and a v1 (`f32`-CPI) trace frame
+/// each get `Error` and a closed socket, while a concurrent well-formed
+/// session's `Report` stays bit-identical to the offline analysis.
+/// Every wait is bounded.
+#[test]
+fn strict_wire_refuses_what_it_does_not_speak() {
+    use fuzzyphase_profiler::EipvData;
+    use fuzzyphase_serve::framing::{FRAME_CONTROL, FRAME_SAMPLES};
+    use fuzzyphase_serve::protocol::encode_control;
+
+    let cfg = tiny_server_cfg();
+    let analysis = *cfg.request.analysis();
+    let server = Server::start(cfg).expect("start");
+    let addr = server.local_addr().to_string();
+    let trace = synth_trace(2_000);
+    let spv = 50;
+
+    let mut calm = ServeClient::connect(&addr).expect("connect");
+    calm.hello("calm", spv, 0).expect("hello");
+    calm.stream_trace(&trace[..1_000], 250).expect("stream");
+
+    let hello = |protocol| {
+        encode_control(&ClientControl::Hello {
+            name: "strict".into(),
+            spv,
+            refit_every: 0,
+            protocol,
+            resume: None,
+        })
+        .expect("encode")
+    };
+    // A v1 frame: magic "FZPH", version 1, one sample (count, EIP
+    // delta, thread, is_os), then its CPI as an f32.
+    let mut v1_frame = b"FZPH".to_vec();
+    v1_frame.extend_from_slice(&1u32.to_be_bytes());
+    v1_frame.extend_from_slice(&[1, 0x80, 0x01, 0, 0]);
+    v1_frame.extend_from_slice(&1.0f32.to_be_bytes());
+    let legs: Vec<(&str, Frames, &str)> = vec![
+        (
+            "versionless Hello",
+            vec![(
+                FRAME_CONTROL,
+                br#"{"Hello":{"name":"old","spv":50,"refit_every":0}}"#.to_vec(),
+            )],
+            "protocol",
+        ),
+        (
+            "protocol 1",
+            vec![(FRAME_CONTROL, hello(1))],
+            "unsupported protocol version 1",
+        ),
+        (
+            "unknown control type",
+            vec![(
+                FRAME_CONTROL,
+                br#"{"Subscribe":{"events":["refit"]}}"#.to_vec(),
+            )],
+            "bad control frame",
+        ),
+        (
+            "frame kind 7",
+            vec![(7, b"{}".to_vec())],
+            "unknown frame kind 7",
+        ),
+        (
+            "v1 trace frame",
+            vec![
+                (FRAME_CONTROL, hello(fuzzyphase_serve::PROTOCOL_VERSION)),
+                (FRAME_SAMPLES, v1_frame),
+            ],
+            "unsupported trace version 1",
+        ),
+    ];
+    for (what, frames, expect) in legs {
+        let replies = {
+            let addr = addr.clone();
+            within(30, what, move || raw_exchange(&addr, &frames))
+        };
+        // Only the v1-frame leg gets as far as a session.
+        let (last, rest) = replies
+            .split_last()
+            .unwrap_or_else(|| panic!("{what}: no reply"));
+        assert!(
+            rest.iter().all(|m| matches!(m, ServerMsg::Hello { .. })),
+            "{what}: {replies:?}"
+        );
+        match last {
+            ServerMsg::Error { message } => assert!(message.contains(expect), "{what}: {message}"),
+            other => panic!("{what}: expected Error then a closed socket, got {other:?}"),
+        }
+    }
+
+    let report = within(60, "the concurrent session", move || {
+        calm.stream_trace(&trace[1_000..], 250).expect("stream");
+        calm.finish().expect("finish");
+        let (report, _) = calm.wait_report().expect("report");
+        calm.close();
+        report
+    });
+    let ServerMsg::Report { report, .. } = report else {
+        panic!("expected Report, got {report:?}");
+    };
+    let data = EipvData::from_samples(&synth_trace(2_000), spv);
+    let offline = fuzzyphase_regtree::analyze(&data.vectors, &data.cpis, &analysis);
+    assert_eq!(report, offline);
+    assert_eq!(
+        report.cpi_variance.to_bits(),
+        offline.cpi_variance.to_bits()
+    );
+    assert_eq!(report.cpi_mean.to_bits(), offline.cpi_mean.to_bits());
+    assert_eq!(report.re_min.to_bits(), offline.re_min.to_bits());
+    for (a, b) in report.re_curve.iter().zip(&offline.re_curve) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert!(server.stats().session_errors >= 5);
     within(30, "shutdown", move || server.shutdown());
 }
